@@ -128,6 +128,8 @@ def _hash_column(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
         h = _hash_bytes_array(pc.cast(pc.fill_null(col, b""), pa.large_binary()))
     elif pa.types.is_floating(t):
         v = pc.fill_null(pc.cast(col, pa.float64()), 0.0).to_numpy(zero_copy_only=False)
+        # canonical bits for groupby-equal keys: -0.0 + 0.0 is 0.0, one NaN
+        v = np.where(np.isnan(v), np.nan, v + 0.0)
         h = _mix64(v.view(np.uint64))
     else:
         # ints / bool / temporal / decimal-free keys: widen to int64 bits

@@ -18,16 +18,62 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-__all__ = ["split_tokens", "explode_ngrams", "explode_bigrams"]
+__all__ = [
+    "ranges",
+    "segment_sum",
+    "covered_mask",
+    "token_windows",
+    "split_tokens",
+    "explode_ngrams",
+    "explode_bigrams",
+]
 
 
-def _ranges(counts: np.ndarray) -> np.ndarray:
+def ranges(counts: np.ndarray) -> np.ndarray:
     """Concatenated ``arange(c)`` for every c in counts, vectorized."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    return np.arange(total, dtype=np.int64) - starts
+    return np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+
+
+def segment_sum(values: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    """Per-row sums of ``values[offs[i]:offs[i + 1]]`` (``len(offs) ==
+    n_rows + 1``) as a cumsum difference taken at the offsets.
+
+    The single owner of per-row sums over a flat token stream: empty rows
+    anywhere (a repeated offset, or ``offs[i] == len(values)``) sum to 0 by
+    construction — an indexed ufunc reduce instead returns the element AT a
+    repeated index and rejects an index equal to ``len``.
+    """
+    cs = np.concatenate([[0], np.cumsum(values)])
+    return cs[offs[1:]] - cs[offs[:-1]]
+
+
+def covered_mask(starts: np.ndarray, width: int, total: int) -> np.ndarray:
+    """``mask[t]`` is True iff position ``t < total`` lies under some window
+    ``[s, s + width)`` for s in ``starts`` (a difference array: +1 at each
+    start, -1 past each end, cumsum > 0)."""
+    diff = np.bincount(starts, minlength=total + 1) - np.bincount(
+        np.minimum(starts + width, total), minlength=total + 1
+    )
+    return np.cumsum(diff[:-1]) > 0
+
+
+def token_windows(
+    flat: pa.Array, lens: np.ndarray, offs: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, pa.Array]:
+    """Every ``n``-token window of every row of a :func:`split_tokens`
+    triple: ``(row_idx, start, window)`` where ``start`` is the window's
+    first flat-token position and ``window`` its tokens single-space
+    joined. Rows shorter than ``n`` emit nothing."""
+    n_win = np.maximum(lens - n + 1, 0)
+    starts = np.repeat(offs[:-1], n_win) + ranges(n_win)
+    lists = pa.ListArray.from_arrays(
+        pa.array(np.arange(starts.size + 1) * n, pa.int32()),
+        flat.take(pa.array((starts[:, None] + np.arange(n)).reshape(-1), pa.int64())),
+    )
+    row_idx = np.repeat(np.arange(len(lens), dtype=np.int64), n_win)
+    return row_idx, starts, pc.binary_join(lists, " ")
 
 
 def split_tokens(text_col) -> tuple[pa.Array, np.ndarray, np.ndarray]:
@@ -51,10 +97,8 @@ def split_tokens(text_col) -> tuple[pa.Array, np.ndarray, np.ndarray]:
     raw_lens = pc.list_value_length(toks).to_numpy().astype(np.int64)
     flat = toks.flatten()
     mask = pc.not_equal(flat, "")
-    m = mask.to_numpy(zero_copy_only=False).astype(np.int64)
-    cs = np.concatenate([[0], np.cumsum(m)])
     raw_offs = np.concatenate([[0], np.cumsum(raw_lens)])
-    lens = cs[raw_offs[1:]] - cs[raw_offs[:-1]]
+    lens = segment_sum(mask.to_numpy(zero_copy_only=False), raw_offs)
     offs = np.concatenate([[0], np.cumsum(lens)])
     return flat.filter(mask), lens, offs
 
@@ -72,7 +116,7 @@ def explode_ngrams(text_col, k: int = 3) -> tuple[np.ndarray, pa.Array]:
     short_idx = np.nonzero(short)[0]
     if short_idx.size:
         short_lens = lens[short_idx]
-        tok_take = np.repeat(offs[short_idx], short_lens) + _ranges(short_lens)
+        tok_take = np.repeat(offs[short_idx], short_lens) + ranges(short_lens)
         short_lists = pa.ListArray.from_arrays(
             pa.array(np.concatenate([[0], np.cumsum(short_lens)]), pa.int32()),
             flat.take(pa.array(tok_take, pa.int64())),
@@ -83,7 +127,7 @@ def explode_ngrams(text_col, k: int = 3) -> tuple[np.ndarray, pa.Array]:
 
     long_idx = np.nonzero(~short)[0]
     n_grams = lens[long_idx] - k + 1
-    first = np.repeat(offs[long_idx], n_grams) + _ranges(n_grams)
+    first = np.repeat(offs[long_idx], n_grams) + ranges(n_grams)
     if first.size:
         cols = [flat.take(pa.array(first + j, pa.int64())) for j in range(k)]
         long_grams = pc.binary_join_element_wise(*cols, " ") if k > 1 else cols[0]
@@ -105,7 +149,7 @@ def explode_bigrams(text_col) -> tuple[np.ndarray, pa.Array, pa.Array]:
     no short-doc fallback, matching the bigram-LM definition)."""
     flat, lens, offs = split_tokens(text_col)
     nbg = np.maximum(lens - 1, 0)
-    first = np.repeat(offs[:-1], nbg) + _ranges(nbg)
+    first = np.repeat(offs[:-1], nbg) + ranges(nbg)
     row_idx = np.repeat(np.arange(len(lens), dtype=np.int64), nbg)
     if first.size == 0:
         return row_idx, pa.array([], pa.string()), pa.array([], pa.string())

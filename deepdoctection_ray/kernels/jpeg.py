@@ -966,12 +966,15 @@ def encode_jpeg_progressive(img: np.ndarray, quality: int = 90) -> bytes:
             def flush_eob() -> None:
                 nonlocal eobrun
                 while eobrun > 0:
+                    # EOBr codes runs in [2^r, 2^(r+1)); r ≤ 14 caps one
+                    # symbol at 32767 blocks, longer runs take several
                     r = min(eobrun.bit_length() - 1, 14)
+                    run = min(eobrun, (2 << r) - 1)
                     code, length = ac_codes[r << 4]
                     wtr.write(code, length)
                     if r:
-                        wtr.write(eobrun - (1 << r), r)
-                    eobrun -= (1 << r) + (eobrun - (1 << r))
+                        wtr.write(run - (1 << r), r)
+                    eobrun -= run
 
             for by in range(nh):
                 for bx in range(nw):

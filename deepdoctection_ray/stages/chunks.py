@@ -85,32 +85,16 @@ def chunk_by_tokens(
     import numpy as np
     import pyarrow.compute as pc
 
-    from ..kernels.grams import split_tokens
+    from ..kernels.grams import ranges, split_tokens
 
     def explode(batch: pa.Table) -> pa.Table:
         flat, lens, offs = split_tokens(batch[text_column])
         n_chunks = np.where(lens > 0, (np.maximum(lens - overlap, 1) + stride - 1) // stride, 0)
         row_idx = np.repeat(np.arange(len(lens), dtype=np.int64), n_chunks)
-        total = int(n_chunks.sum())
-        if total == 0:
-            return pa.table(
-                {
-                    id_column: pa.array([], batch[id_column].type),
-                    "chunk_idx": pa.array([], pa.int64()),
-                    "chunk_text": pa.array([], pa.string()),
-                    "n_tokens": pa.array([], pa.int64()),
-                }
-            )
-        starts_in_row = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(np.cumsum(n_chunks) - n_chunks, n_chunks)
-        ) * stride
+        starts_in_row = ranges(n_chunks) * stride
         chunk_lens = np.minimum(np.repeat(lens, n_chunks) - starts_in_row, max_tokens)
         starts = np.repeat(offs[:-1], n_chunks) + starts_in_row
-        take = np.repeat(starts, chunk_lens) + (
-            np.arange(int(chunk_lens.sum()), dtype=np.int64)
-            - np.repeat(np.cumsum(chunk_lens) - chunk_lens, chunk_lens)
-        )
+        take = np.repeat(starts, chunk_lens) + ranges(chunk_lens)
         lists = pa.ListArray.from_arrays(
             pa.array(np.concatenate([[0], np.cumsum(chunk_lens)]), pa.int32()),
             flat.take(pa.array(take, pa.int64())),

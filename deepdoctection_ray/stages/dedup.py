@@ -565,7 +565,7 @@ def dedup_ngram_jaccard(
     """
 
     def to_prefix_postings(batch: pa.Table) -> pa.Table:
-        from ..kernels.grams import _ranges
+        from ..kernels.grams import ranges
 
         n_rows = len(batch)
         if n_rows == 0:
@@ -585,7 +585,7 @@ def dedup_ngram_jaccard(
         counts = np.bincount(r, minlength=n_rows)  # ≥ 1 per row (gram fallback)
         p = np.maximum(1, counts - np.ceil(threshold * counts).astype(np.int64) + 1)
         offs = np.concatenate([[0], np.cumsum(counts)])[:-1]
-        sel = np.repeat(offs, p) + _ranges(p)
+        sel = np.repeat(offs, p) + ranges(p)
         take = pa.array(np.repeat(np.arange(n_rows, dtype=np.int64), p))
         return pa.table(
             {
@@ -1438,7 +1438,7 @@ def remove_duplicate_substrings(
        join-safe), and surviving ``(doc, start)`` pairs reduce per doc to a
        packed positions blob (bucketed);
     4. one left join back onto the corpus + a fully-vectorized rebuild: the
-       covered-token mask comes from one ``np.add.at`` difference array per
+       covered-token mask is one ``grams.covered_mask`` difference array per
        batch, kept tokens re-join through Arrow ``binary_join``.
 
     Output: ``(id, clean_text, n_tokens_removed)`` where ``clean_text`` is
@@ -1448,44 +1448,19 @@ def remove_duplicate_substrings(
     """
     from ..functions.bucketed import bucketed_map_groups
     from ..functions.joins import drop_empty_blocks, hash_join
-    from ..kernels.grams import split_tokens
+    from ..kernels.grams import covered_mask, segment_sum, split_tokens, token_windows
 
     def explode(batch: pa.Table) -> pa.Table:
         flat, lens, offs = split_tokens(batch[text_column])
-        n_win = np.maximum(lens - window + 1, 0)
-        starts = np.repeat(offs[:-1], n_win) + _win_ranges(n_win)
-        row_idx = np.repeat(np.arange(len(lens), dtype=np.int64), n_win)
-        if starts.size == 0:
-            return pa.table(
-                {
-                    id_column: pa.array([], batch[id_column].type),
-                    "pos": pa.array([], pa.int64()),
-                    "wkey": pa.array([], pa.int64()),
-                }
-            )
-        lists = pa.ListArray.from_arrays(
-            pa.array(
-                np.concatenate([np.arange(starts.size) * window,
-                                [starts.size * window]]).astype(np.int64),
-                pa.int64(),
-            ),
-            flat.take(
-                pa.array(
-                    (starts[:, None] + np.arange(window)[None, :]).reshape(-1), pa.int64()
-                )
-            ),
-        )
-        wins = pc.binary_join(lists, " ")
+        row_idx, starts, wins = token_windows(flat, lens, offs, window)
         enc = wins.dictionary_encode()
         dvals = enc.dictionary.to_pylist()
         dh = np.fromiter((stable_int(g) for g in dvals), np.int64, len(dvals))
-        keys = dh[enc.indices.to_numpy(zero_copy_only=False)] if len(dvals) else np.empty(0, np.int64)
-        pos = starts - np.repeat(offs[:-1], n_win)  # window start WITHIN its row
         return pa.table(
             {
                 id_column: pc.take(batch[id_column], pa.array(row_idx, pa.int64())),
-                "pos": pa.array(pos, pa.int64()),
-                "wkey": pa.array(keys, pa.int64()),
+                "pos": pa.array(starts - offs[row_idx], pa.int64()),  # start WITHIN its row
+                "wkey": pa.array(dh[enc.indices.to_numpy(zero_copy_only=False)], pa.int64()),
             }
         )
 
@@ -1541,52 +1516,23 @@ def remove_duplicate_substrings(
 
     def rebuild(batch: pa.Table) -> pa.Table:
         flat, lens, offs = split_tokens(batch[text_column])
-        total = int(offs[-1])
-        # covered-token mask via a difference array: +1 at each dup window's
-        # start, -1 past its end, cumsum > 0 → covered
-        diff = np.zeros(total + 1, np.int64)
-        blobs = batch["dup_pos"].to_pylist()
-        removed = np.zeros(len(batch), np.int64)
-        for i, blob in enumerate(blobs):
-            if not blob:
-                continue
-            p = np.frombuffer(blob, np.int64) + offs[i]
-            diff[p] += 1
-            diff[np.minimum(p + window, offs[i + 1])] -= 1
-        covered = np.cumsum(diff[:-1]) > 0
-        if total:
-            # reduceat gotchas: a repeated index (zero-length row) yields the
-            # element AT the index, and index == len raises (trailing empty
-            # row) — clip, then zero the empty rows right after
-            ridx = np.minimum(offs[:-1], total - 1)
-            removed = np.add.reduceat(covered.astype(np.int64), ridx)
-            removed[lens == 0] = 0
-        keep = ~covered
-        kept_counts = (
-            np.add.reduceat(keep.astype(np.int64), np.minimum(offs[:-1], total - 1))
-            if total
-            else np.zeros(len(batch), np.int64)
-        )
-        kept_counts[lens == 0] = 0
+        # each row's packed in-row dup-window starts, shifted to flat positions
+        blobs = pc.fill_null(batch["dup_pos"], b"")
+        n_pos = pc.binary_length(blobs).to_numpy(zero_copy_only=False) // 8
+        pos = np.frombuffer(b"".join(blobs.to_pylist()), np.int64)
+        keep = ~covered_mask(np.repeat(offs[:-1], n_pos) + pos, window, int(offs[-1]))
+        kept_counts = segment_sum(keep, offs)
         lists = pa.ListArray.from_arrays(
             pa.array(np.concatenate([[0], np.cumsum(kept_counts)]), pa.int32()),
-            flat.filter(pa.array(keep)) if total else flat,
+            flat.filter(pa.array(keep)),
         )
         return pa.table(
             {
                 id_column: batch[id_column],
                 "clean_text": pc.binary_join(lists, " "),
-                "n_tokens_removed": pa.array(removed, pa.int64()),
+                "n_tokens_removed": pa.array(lens - kept_counts, pa.int64()),
             }
         )
 
     return joined.map_batches(rebuild, batch_format="pyarrow", batch_size=None)
 
-
-def _win_ranges(counts: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(c)`` per count (same as ``grams._ranges``)."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    return np.arange(total, dtype=np.int64) - starts

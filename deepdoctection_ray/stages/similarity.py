@@ -632,8 +632,9 @@ def knn_pq(
     # LUT[q, m, c] = q_sub · centroid — ADC approximates q·x by Σ_m LUT[q,m,code]
     lut = np.einsum("qmd,mcd->qmc", qvecs.reshape(len(qvecs), m_subspaces, sub), books)
     n_cand = oversample * k
+    qids = [r[id_column] for r in q_rows]
 
-    def adc_candidates(batch: pa.Table) -> pa.Table:
+    def adc_partials(batch: pa.Table) -> pa.Table:
         emb = _unit(embedding_matrix(batch[embedding_column]))
         n = emb.shape[0]
         codes = np.empty((n, m_subspaces), np.int64)
@@ -644,21 +645,31 @@ def knn_pq(
         # scores[q, n] = Σ_m lut[q, m, codes[n, m]]
         scores = lut[:, np.arange(m_subspaces)[None, :], codes].sum(axis=2)
         ids = batch[id_column].to_numpy(zero_copy_only=False)
-        out_ids = []
-        for qi in range(scores.shape[0]):
-            top = np.argsort(-scores[qi], kind="stable")[:n_cand]
-            out_ids.append(ids[top])
-        uniq = np.unique(np.concatenate(out_ids))
-        return pa.table({id_column: pa.array(uniq)})
+        # per-query batch top-n_cand under the reduce's (-score, id) order,
+        # so the global reduce sees every candidate it would keep
+        top = np.stack([np.lexsort((ids, -sq))[:n_cand] for sq in scores]).ravel()
+        q = np.repeat(np.arange(len(qids)), len(top) // len(qids))
+        return _topk_table(
+            np.asarray(qids)[q].tolist(),
+            ids[top].tolist(),
+            scores[q, top].tolist(),
+            batch[id_column].type,
+            batch[id_column].type,
+        )
 
-    # candidate ids are (batches × queries × n_cand)-bounded — probe-sized;
-    # collect once and filter by broadcast membership (a join would have to
-    # carry the list<float> embedding as an Acero payload column, which
-    # Acero rejects — the documented landmine)
-    cand_rows = ds.select_columns([id_column, embedding_column]).map_batches(
-        adc_candidates, batch_format="pyarrow"
-    ).take_all()
-    cand_ids = np.unique(np.array([r[id_column] for r in cand_rows]))
+    # global per-query ADC top-n_cand: the same groupby reduce as brute kNN,
+    # so take_all() collects ≤ Q·n_cand rows whatever the block count; then
+    # filter by broadcast membership (a join would have to carry the
+    # list<float> embedding as an Acero payload column, which Acero
+    # rejects — the documented landmine)
+    cand_rows = (
+        ds.select_columns([id_column, embedding_column])
+        .map_batches(adc_partials, batch_format="pyarrow")
+        .groupby("query_id")
+        .map_groups(_reduce_topk(n_cand), batch_format="pyarrow")
+        .take_all()
+    )
+    cand_ids = np.unique(np.array([r["vec_id"] for r in cand_rows]))
 
     def keep_candidates(batch: pa.Table) -> pa.Table:
         ids = batch[id_column].to_numpy(zero_copy_only=False)

@@ -666,7 +666,7 @@ def gopher_coverage(
     """
     import pandas as pd
 
-    from ..kernels.grams import split_tokens
+    from ..kernels.grams import covered_mask, segment_sum, split_tokens, token_windows
 
     col = batch[text_column]
     if isinstance(col, pa.ChunkedArray):
@@ -683,27 +683,11 @@ def gopher_coverage(
     def _round6(x: np.ndarray) -> np.ndarray:
         return np.floor(x * 1e6 + 0.5) / 1e6  # DuckDB half-away rounding
 
-    def windows(n: int):
-        """(row_idx, start_flat_pos, gram_string) for all n-windows."""
-        n_win = np.maximum(lens - n + 1, 0)
-        starts = np.repeat(offs[:-1], n_win) + (
-            np.arange(int(n_win.sum()), dtype=np.int64)
-            - np.repeat(np.cumsum(n_win) - n_win, n_win)
-        )
-        row_idx = np.repeat(np.arange(nrows, dtype=np.int64), n_win)
-        if starts.size == 0:
-            return row_idx, starts, None
-        lists = pa.ListArray.from_arrays(
-            pa.array(np.arange(starts.size + 1, dtype=np.int64) * n, pa.int64()).cast(pa.int32()),
-            flat.take(pa.array((starts[:, None] + np.arange(n)[None, :]).reshape(-1), pa.int64())),
-        )
-        return row_idx, starts, pc.binary_join(lists, " ")
-
     out: dict[str, pa.Array] = {id_column: batch[id_column]}
     for n in top_ns:
         frac = np.zeros(nrows)
-        row_idx, _starts, grams = windows(n)
-        if grams is not None:
+        row_idx, _starts, grams = token_windows(flat, lens, offs, n)
+        if len(grams):
             gdf = pd.DataFrame({"row": row_idx, "g": grams.to_pandas()})
             gc_ = gdf.groupby(["row", "g"], sort=False).size().reset_index(name="c")
             gc_ = gc_.sort_values(["row", "c", "g"], ascending=[True, False, True])
@@ -712,28 +696,11 @@ def gopher_coverage(
             frac[top["row"].to_numpy()] = cover / denom[top["row"].to_numpy()]
         out[f"top_{n}gram_char_frac"] = pa.array(_round6(frac), pa.float64())
     for n in dup_ns:
-        frac = np.zeros(nrows)
-        row_idx, starts, grams = windows(n)
-        if grams is not None:
-            gdf = pd.DataFrame({"row": row_idx, "g": grams.to_pandas(), "s": starts})
-            cnt = gdf.groupby(["row", "g"], sort=False)["s"].transform("size")
-            dup = gdf[cnt > 1]
-            diff = np.zeros(total + 1, np.int64)
-            ds_ = dup["s"].to_numpy()
-            np.add.at(diff, ds_, 1)
-            # windows never cross their row (starts come from in-row ranges)
-            np.add.at(diff, ds_ + n, -1)
-            covered = np.cumsum(diff[:-1]) > 0
-            cov_chars = np.zeros(nrows)
-            if total:
-                contrib = np.where(covered, tok_lens, 0)
-                # reduceat rejects index == len (trailing empty row): clip,
-                # then zero the empty rows the clipped index mis-summed
-                cov_chars = np.add.reduceat(
-                    contrib, np.minimum(offs[:-1], total - 1)
-                ).astype(np.float64)
-                cov_chars[lens == 0] = 0.0
-            frac = cov_chars / denom
+        row_idx, starts, grams = token_windows(flat, lens, offs, n)
+        gdf = pd.DataFrame({"row": row_idx, "g": grams.to_pandas()})
+        cnt = gdf.groupby(["row", "g"], sort=False)["row"].transform("size")
+        covered = covered_mask(starts[cnt.to_numpy() > 1], n, total)
+        frac = segment_sum(np.where(covered, tok_lens, 0), offs) / denom
         out[f"dup_{n}gram_char_frac"] = pa.array(_round6(frac), pa.float64())
     return pa.table(out)
 

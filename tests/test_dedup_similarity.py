@@ -557,6 +557,17 @@ def test_knn_pq_recall_with_rerank(ray_session):
     b2 = train_pq_codebooks(ray.data.from_arrow(t).repartition(2), dim=64)
     assert np.allclose(b1, b2, atol=1e-9)
 
+    # ... and of the answer: the ADC candidate set is a GLOBAL per-query
+    # top-(oversample·k), not a per-block union (oversample=1 makes a union
+    # over 8 blocks visibly larger than one block's)
+    def top(d):
+        out = knn_pq(d, [0, 100, 250], k=10, oversample=1).to_pandas()
+        return out.sort_values(["query_id", "vec_id"])[["query_id", "vec_id"]].values.tolist()
+
+    one = ray.data.from_arrow(t)
+    assert one.materialize().num_blocks() == 1
+    assert top(one) == top(one.repartition(8))
+
 
 def test_remove_duplicate_substrings_cuts_repeated_spans(ray_session):
     import ray.data
@@ -607,6 +618,20 @@ def test_remove_duplicate_substrings_cuts_repeated_spans(ray_session):
     ).to_pandas()
     assert out2.loc[0, "clean_text"] == "middle words"
     assert out2.loc[0, "n_tokens_removed"] == 20
+
+    # a doc ending in duplicated tokens, followed in the SAME batch by empty
+    # and whitespace-only docs: its kept tokens and counts stay exact
+    # (enough trailing empties that every join partition ends in some)
+    texts = [f"alpha beta {boiler} gamma", f"zz {boiler}", f"q {boiler}"] + ["", " \t "] * 20
+    tail = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()), "text": pa.array(texts)})
+    out4 = (
+        remove_duplicate_substrings(ray.data.from_arrow(tail), "text", "doc_id", window=8)
+        .to_pandas()
+        .sort_values("doc_id")
+        .reset_index(drop=True)
+    )
+    assert list(out4["clean_text"]) == ["alpha beta gamma", "zz", "q"] + [""] * 40
+    assert list(out4["n_tokens_removed"]) == [10, 10, 10] + [0] * 40
 
     # no duplicates anywhere: the short-circuit normalization-only path
     clean = pa.table(

@@ -157,6 +157,54 @@ def test_gram_kernels_match_scalar_definitions():
     check()
 
 
+def test_segment_helpers_match_per_row_python():
+    """grams.ranges / segment_sum / covered_mask / token_windows against
+    per-row Python over random row lengths with empty rows at the start, in
+    the middle and at the end (the shapes a clipped ``reduceat`` gets
+    wrong), plus very long rows (hypothesis fuzz)."""
+    import numpy as np
+    import pyarrow as pa
+    from hypothesis import given, settings, strategies as st
+
+    from deepdoctection_ray.kernels.grams import covered_mask, ranges, segment_sum, token_windows
+
+    len_st = st.one_of(st.integers(0, 6), st.integers(0, 6), st.integers(2000, 5000))
+    rows_st = st.lists(len_st, max_size=8)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows_st, rows_st, st.integers(1, 9), st.integers(0, 2**31))
+    def check(head, tail, width, seed):
+        lens = np.array([0, *head, 0, *tail, 0, 0], np.int64)
+        offs = np.concatenate([[0], np.cumsum(lens)])
+        total = int(offs[-1])
+        rng = np.random.RandomState(seed)
+        vals = rng.randint(-50, 50, total)
+        assert ranges(lens).tolist() == [j for n in lens for j in range(n)]
+        sums = segment_sum(vals, offs)
+        assert sums.tolist() == [int(vals[a:b].sum()) for a, b in zip(offs[:-1], offs[1:])]
+        assert segment_sum(vals > 0, offs).tolist() == [
+            int((vals[a:b] > 0).sum()) for a, b in zip(offs[:-1], offs[1:])
+        ]
+        # in-row windows, as every caller builds them
+        starts, want = [], np.zeros(total, bool)
+        for a, n in zip(offs[:-1], lens):
+            for p in np.nonzero(rng.rand(max(n - width + 1, 0)) < 0.2)[0]:
+                starts.append(a + p)
+                want[a + p : a + p + width] = True
+        got = covered_mask(np.array(starts, np.int64), width, total)
+        assert got.tolist() == want.tolist()
+        toks = [f"t{j}" for j in range(total)]
+        row_idx, wstart, wins = token_windows(pa.array(toks, pa.string()), lens, offs, width)
+        expect = [
+            (i, a + j, " ".join(toks[a + j : a + j + width]))
+            for i, (a, n) in enumerate(zip(offs[:-1], lens))
+            for j in range(n - width + 1)
+        ]
+        assert list(zip(row_idx.tolist(), wstart.tolist(), wins.to_pylist())) == expect
+
+    check()
+
+
 def test_batch_shingle_hashes_matches_scalar():
     import numpy as np
     import pyarrow as pa

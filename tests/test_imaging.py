@@ -659,7 +659,12 @@ def test_progressive_jpeg_matches_baseline_reconstruction():
     rgb = np.stack([img, img[::-1], 255 - img], axis=2)
     rng = np.random.RandomState(1)
     noisy = rng.randint(0, 256, (33, 41, 3)).astype(np.uint8)
-    for arr, q in [(img, 90), (rgb, 90), (noisy, 35), (np.full((64, 64), 130, np.uint8), 90)]:
+    # flat 1456²: 33,124 all-zero AC blocks in one band — an EOB run longer
+    # than the 32,767 one EOBn symbol carries, so it spans several symbols
+    big_flat = np.full((1456, 1456), 130, np.uint8)
+    for arr, q in [
+        (img, 90), (rgb, 90), (noisy, 35), (np.full((64, 64), 130, np.uint8), 90), (big_flat, 90)
+    ]:
         base = decode_jpeg(encode_jpeg(arr, quality=q)).astype(int)
         prog = decode_jpeg(encode_jpeg_progressive(arr, quality=q)).astype(int)
         assert np.abs(prog - base).max() == 0

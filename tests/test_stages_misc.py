@@ -538,6 +538,17 @@ def test_hash_rows_deterministic_and_content_only():
     hn = hash_rows(nt, ["k"])
     assert hn[0] == hn[1] != hn[2]
 
+    # float keys that SQL / pandas grouping treats as one group (0.0 and
+    # -0.0; every NaN payload) share one hash, hence one bucket
+    nans = np.array(
+        [0x7FF8000000000000, 0x7FF8000000000123, 0xFFF8000000000000], np.uint64
+    ).view(np.float64)
+    ft = pa.table({"k": pa.array(np.concatenate([[0.0, -0.0], nans]))})
+    hf = hash_rows(ft, ["k"])
+    assert hf[0] == hf[1] != hf[2] and len(set(hf[2:].tolist())) == 1
+    fb = tag_buckets(ft, ["k"], 32)["__bucket"].to_pylist()
+    assert fb[0] == fb[1] and len(set(fb[2:])) == 1
+
     # bucket ids cover the range roughly uniformly
     big = pa.table({"k": pa.array([f"doc-{i*2654435761 % 10**9:x}" for i in range(20000)])})
     counts = np.bincount(
@@ -643,6 +654,13 @@ def test_gopher_coverage_extended_rules():
     )
     # empty doc: all zeros
     assert all(out[c][2] == 0.0 for c in out if c != "doc_id")
+
+    # an empty doc after the last non-empty one must not change its
+    # coverage: 'a b c d e' x2 covers 10 of 21 chars
+    rep = "x a b c d e a b c d e"
+    for texts in ([rep], [rep, ""]):
+        t = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()), "text": pa.array(texts)})
+        assert gopher_coverage(t).to_pydict()["dup_5gram_char_frac"][0] == 0.47619
 
 
 def test_mixture_plan_exact_apportionment(ray_session):

@@ -16,6 +16,8 @@ import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Sum
 
+from .bucketed import with_anchor
+
 
 def grouped_sums(
     ds: ray.data.Dataset,
@@ -60,15 +62,7 @@ def grouped_sums(
     if count_alias:
         aggs.append(Sum(count_alias, alias_name=count_alias))
     out = partials.groupby(keys).aggregate(*aggs)
-    return _with_anchor(out, anchor)
-
-
-def _with_anchor(ds: ray.data.Dataset, anchor) -> ray.data.Dataset:
-    """Lazily union one typed empty block (the empty-corpus schema guard)."""
-    if anchor is None:
-        return ds
-    sch = anchor.schema if isinstance(anchor, pa.Table) else anchor
-    return ds.union(ray.data.from_arrow(sch.empty_table()))
+    return with_anchor(out, anchor)
 
 
 def grouped_int_sums(
@@ -227,7 +221,7 @@ def top_n_per_group(
         return df.groupby(group_cols, sort=False, dropna=False).head(n)
 
     partial = ds.map_batches(local_topn, batch_format="pandas")
-    return _with_anchor(
+    return with_anchor(
         bucketed_map_groups(
             partial, group_cols, local_topn, num_buckets, batch_format="pandas"
         ),

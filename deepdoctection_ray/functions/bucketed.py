@@ -202,10 +202,19 @@ def bucketed_map_groups(
             return out
 
     out = tagged.groupby(BUCKET_COL).map_groups(run, batch_format=batch_format)
-    if anchor is not None:
-        # empty-corpus schema guard: Ray's map_groups on zero rows yields a
-        # schema-less dataset; one lazily-unioned typed empty block keeps the
-        # documented columns visible to downstream joins / column access
-        sch = anchor.schema if isinstance(anchor, pa.Table) else anchor
-        out = out.union(ray.data.from_arrow(sch.empty_table()))
-    return out
+    return with_anchor(out, anchor)
+
+
+def with_anchor(
+    ds: ray.data.Dataset, anchor: "pa.Table | pa.Schema | None"
+) -> ray.data.Dataset:
+    """Lazily union ONE typed empty block carrying ``anchor``'s schema (a
+    table or schema; ``None`` returns ``ds`` unchanged) — the empty-corpus
+    schema guard of the grouped helpers: Ray's ``groupby`` on zero rows
+    yields a dataset with no schema at all, and the anchor keeps the
+    documented columns visible to driver-side column access. No
+    materialization, no ``schema()`` probe (that would execute the plan)."""
+    if anchor is None:
+        return ds
+    sch = anchor.schema if isinstance(anchor, pa.Table) else anchor
+    return ds.union(ray.data.from_arrow(sch.empty_table()))

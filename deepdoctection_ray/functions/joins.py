@@ -9,8 +9,9 @@ scale-correct shapes:
   maps rows per batch — no shuffle at all;
 - semi/anti join: broadcast the key set and filter inside ``map_batches``.
 
-Both-sides-large joins should bucket by key hash and join per bucket (see
-``stages/dedup.py`` for the bucketed-groupby shape).
+Both-sides-large joins go through :func:`hash_join`, the one owner of Ray
+2.49's join rules (empty blocks and empty sides); nothing else calls
+``Dataset.join``.
 """
 
 from __future__ import annotations
@@ -67,24 +68,21 @@ def broadcast_join(
 def drop_empty_blocks(
     ds: ray.data.Dataset, anchor: "pa.Table | pa.Schema | None" = None
 ) -> ray.data.Dataset:
-    """Materialize a (small, post-shuffle) dataset and rebuild it from its
-    non-empty blocks only.
+    """Materialize ``ds`` and rebuild it from its non-empty blocks only —
+    the join-side scrub :func:`hash_join` applies to both of its inputs.
 
-    Ray's ``groupby().map_groups()`` yields NOTHING for empty sort
-    partitions, so its output can contain schema-less empty blocks; Acero
-    (the kernel behind ``Dataset.join``) fails a join partition whose
-    concatenated input lacks the key column. ``map_batches`` cannot repair
-    them — Ray skips empty blocks without calling the UDF — so the dataset is
-    rebuilt from the surviving block REFS (driver touches metadata only; the
-    data never leaves the object store). Apply to aggregate/candidate-sized
-    datasets that feed a join, not to raw fact streams.
+    Ray 2.49's ``Dataset.join`` fails its Acero finalize ("No match ...
+    FieldRef") when a join input STARTS with a 0-row block, even if later
+    blocks hold every key, and when a side is fully empty. Neither a
+    ``map_batches``/generator UDF that yields nothing (Ray skips empty
+    blocks without calling the UDF) nor ``ds.filter(expr=...)`` removes such
+    a block; only rebuilding the dataset from the surviving block REFS does
+    (the driver touches metadata only; the data never leaves the object
+    store).
 
-    ``anchor``: the caller's statically-known output schema (a table or
-    schema). When a FULLY-empty input left Ray with no schema at all (a
-    zero-row corpus — the empty-partition robustness case), the result is a
-    typed empty dataset built from the anchor instead of a schema-less one
-    that would still fail the join's FieldRef resolution.
-    """
+    When every block is empty the result is ONE typed empty block carrying
+    the materialized schema, or ``anchor``'s (a table or schema) when Ray
+    kept no schema at all; with neither, the empty input is returned."""
     mat = ds.materialize()
     refs = [
         ref
@@ -92,35 +90,15 @@ def drop_empty_blocks(
         for ref, meta in bundle.blocks
         if meta.num_rows
     ]
-    if not refs:
-        # every block empty: synthesize ONE typed empty block from the known
-        # schema so a downstream join still sees its key columns
-        schema = mat.schema()
-        if schema is not None and getattr(schema, "names", None):
-            empty = pa.schema(zip(schema.names, schema.types)).empty_table()
-            return ray.data.from_arrow(empty)
-        if anchor is not None:
-            sch = anchor.schema if isinstance(anchor, pa.Table) else anchor
-            return ray.data.from_arrow(sch.empty_table())
-        return mat
-    return ray.data.from_arrow_refs(refs)
-
-
-def anchor_blocks(
-    ds: ray.data.Dataset, anchor: "pa.Table | pa.Schema"
-) -> ray.data.Dataset:
-    """Lazily union ONE typed empty block carrying the caller's statically
-    known schema, so a fully-empty upstream still presents its documented
-    columns to schema probes and driver-side consumers. No materialization,
-    no schema() call (which would force a full recompute — measured).
-
-    DO NOT feed the result into ``Dataset.join``: a 0-row block that lands
-    alone in a join partition breaks Ray 2.49's Acero finalize (measured —
-    "No match ... FieldRef"). Join sides must instead be scrubbed with
-    :func:`drop_empty_blocks` (physically removes empty blocks) and
-    fully-empty sides short-circuited by the caller."""
-    sch = anchor.schema if isinstance(anchor, pa.Table) else anchor
-    return ds.union(ray.data.from_arrow(sch.empty_table()))
+    if refs:
+        return ray.data.from_arrow_refs(refs)
+    schema = mat.schema()
+    if schema is not None and getattr(schema, "names", None):
+        return ray.data.from_arrow(pa.schema(zip(schema.names, schema.types)).empty_table())
+    if anchor is not None:
+        sch = anchor.schema if isinstance(anchor, pa.Table) else anchor
+        return ray.data.from_arrow(sch.empty_table())
+    return mat
 
 
 def _bucket_of(keys, num_buckets: int):
@@ -136,19 +114,28 @@ def hash_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
     key_column: str,
-    right_columns: list[str] | None = None,
+    right_columns: Mapping[str, pa.DataType] | None = None,
     how: str = "inner",
     num_buckets: int = 8,
 ) -> ray.data.Dataset:
-    """Bucketed large×large hash join — neither side is materialized on the
-    driver or broadcast.
+    """Bucketed large×large hash join — neither side is collected on the
+    driver or broadcast (both are materialized in the object store).
 
     Thin policy wrapper over the native ``Dataset.join`` (Ray ≥ 2.47's
     hash-partitioned shuffle join): both sides hash-partition on the key into
-    ``num_buckets`` independent partitions, each joined by an aggregator —
-    nothing is materialized on the driver or broadcast. The reference engine
-    has no cross-record join at all (``custom_serialize.py:349-375`` is an
-    in-memory COCO join), so this surface is native to the Ray rebuild.
+    ``num_buckets`` independent partitions, each joined by an aggregator. The
+    reference engine has no cross-record join at all
+    (``custom_serialize.py:349-375`` is an in-memory COCO join), so this
+    surface is native to the Ray rebuild.
+
+    This is the ONE owner of Ray 2.49's join rules: both inputs pass through
+    :func:`drop_empty_blocks` (a 0-row block at the head of either side, or
+    a fully-empty side, breaks the join's finalize), and when a side is
+    empty (row counts read from the materialized metadata) the answer
+    ``how`` implies is returned without calling ``Dataset.join``: ``anti``
+    keeps ``left`` as it is, ``left`` appends typed null ``right_columns``,
+    every other case is a typed empty result. Callers never scrub, anchor or
+    short-circuit a join side themselves.
 
     Partitioning assumptions (documented for the 100-TB target):
     - ``num_buckets`` must be sized so (left+right)/num_buckets fits an
@@ -162,8 +149,11 @@ def hash_join(
       q_orders_by_segment: orders collapse to one row per custkey first).
 
     ``how``: 'inner' | 'left' | 'semi' | 'anti' (semi/anti return left
-    columns only); ``right_columns`` prunes the right side before the
-    exchange.
+    columns only and ignore ``right_columns``). ``right_columns`` maps the
+    right-side columns to carry to their Arrow types — the right side is
+    pruned to them before the exchange, and the types build the empty-side
+    results (``pc.fill_null`` rejects null-typed columns); ``None`` carries
+    every right column.
     """
     join_type = {
         "inner": "inner",
@@ -172,14 +162,39 @@ def hash_join(
         "anti": "left_anti",
     }[how]
     if how in ("semi", "anti"):
-        r = right.select_columns([key_column])
-    elif right_columns is not None:
-        r = right.select_columns(
-            [key_column] + [c for c in right_columns if c != key_column]
+        right_columns = {}
+    if right_columns is not None:
+        right_columns = {c: t for c, t in right_columns.items() if c != key_column}
+        right = right.select_columns([key_column, *right_columns])
+    left, right = drop_empty_blocks(left), drop_empty_blocks(right)
+    has_left, has_right = left.count() > 0, right.count() > 0
+    if has_left and has_right:
+        return left.join(
+            right, join_type=join_type, num_partitions=num_buckets, on=(key_column,)
         )
-    else:
-        r = right
-    return left.join(r, join_type=join_type, num_partitions=num_buckets, on=(key_column,))
+    if has_left and how == "anti":
+        return left
+    if right_columns is None:
+        rsch = right.schema()
+        right_columns = dict(zip(rsch.names, rsch.types)) if rsch is not None else {}
+        right_columns.pop(key_column, None)
+    if has_left and how == "left":
+
+        def with_nulls(batch: pa.Table) -> pa.Table:
+            for c, t in right_columns.items():
+                batch = batch.append_column(c, pa.nulls(len(batch), t))
+            return batch
+
+        return left.map_batches(with_nulls, batch_format="pyarrow", batch_size=None)
+    lsch = left.schema()
+    if lsch is None:
+        # Ray kept no schema for a fully-empty left: the empty input is the
+        # (column-less) empty result
+        return left
+    fields = list(zip(lsch.names, lsch.types))
+    if how in ("inner", "left"):
+        fields += list(right_columns.items())
+    return ray.data.from_arrow(pa.schema(fields).empty_table())
 
 
 def asof_join(

@@ -16,6 +16,8 @@ import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Count, Mean, Std, Sum
 
+from .bucketed import with_anchor
+
 
 def confusion_matrix(
     ds: ray.data.Dataset, gt_column: str = "gt", pred_column: str = "pred"
@@ -83,11 +85,7 @@ def column_mean_std(
             Count(alias_name="n"))
     if by is None:
         return ds.aggregate(*aggs)
-    out = ds.groupby(by).aggregate(*aggs)
-    if anchor is not None:
-        sch = anchor.schema if isinstance(anchor, pa.Table) else anchor
-        out = out.union(ray.data.from_arrow(sch.empty_table()))
-    return out
+    return with_anchor(ds.groupby(by).aggregate(*aggs), anchor)
 
 
 def label_histogram(ds: ray.data.Dataset, column: str) -> ray.data.Dataset:

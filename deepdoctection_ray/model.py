@@ -230,7 +230,7 @@ def attach_detections(
     import pyarrow as pa
 
     from .functions.bucketed import bucketed_map_groups
-    from .functions.joins import drop_empty_blocks, hash_join
+    from .functions.joins import hash_join
 
     def pack(g):
         import pandas as pd
@@ -248,10 +248,8 @@ def attach_detections(
         )
         return recs
 
-    packed = drop_empty_blocks(
-        bucketed_map_groups(detections, [id_column], pack, num_buckets, batch_format="pandas")
-    )
-    joined = hash_join(ds, packed, id_column, ["__blocks_json"], how="left")
+    packed = bucketed_map_groups(detections, [id_column], pack, num_buckets, batch_format="pandas")
+    joined = hash_join(ds, packed, id_column, {"__blocks_json": pa.string()}, how="left")
 
     def merge(batch: pa.Table) -> pa.Table:
         payloads = batch[payload_column].to_pylist()

@@ -36,14 +36,9 @@ def _t(sf_dir: str, name: str, columns=None) -> ray.data.Dataset:
 def _empty(sf_dir: str, name: str) -> bool:
     """O(1) zero-row probe via parquet footer metadata (no Ray execution).
 
-    Ray 2.49's ``Dataset.join`` raises ``ArrowInvalid`` when EITHER side is
-    fully empty — even two bare ``read_parquet`` reads of zero-row files with
-    known schemas (the hash-shuffle aggregator drops empty input blocks and
-    finalizes a schema-less partition table Acero cannot resolve FieldRefs
-    against). Per-partition emptiness is handled by the seam scrubs
-    (``drop_empty_blocks`` / anchors); the WHOLE-table degenerate case is
-    guarded here at the query top, returning the same typed empty result the
-    SQL oracle yields on empty views."""
+    Queries that return a ``pd.DataFrame`` or ``pa.Table`` use it to return
+    the same typed empty result the SQL oracle yields on empty views; empty
+    join sides themselves are ``functions.joins.hash_join``'s business."""
     import pyarrow.parquet as _pq
 
     return _pq.read_metadata(os.path.join(sf_dir, f"{name}.parquet")).num_rows == 0
@@ -185,7 +180,7 @@ def q3_shipping_priority(sf_dir: str) -> pd.DataFrame:
     ).map_batches(
         lambda b: b.filter(pc.less(b["o_orderdate"], cut)), batch_format="pyarrow"
     )
-    orders_b = hash_join(orders, cust_b, "o_custkey", [], how="semi")
+    orders_b = hash_join(orders, cust_b, "o_custkey", how="semi")
 
     line = _t(sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"])
 
@@ -197,22 +192,11 @@ def q3_shipping_priority(sf_dir: str) -> pd.DataFrame:
         )
         return pa.table({"l_orderkey": batch["l_orderkey"], "rev_u": rev_u})
 
-    from .functions.joins import drop_empty_blocks
-
-    # the semi join's empty partitions may emit schema-less blocks; scrub the
-    # join→join seam (orders_b is dimension-sized after both filters)
-    odim = drop_empty_blocks(
-        orders_b.select_columns(["o_orderkey", "o_orderdate", "o_orderpriority"]),
-        anchor=pa.schema(
-            [("o_orderkey", pa.int64()), ("o_orderdate", pa.timestamp("us")),
-             ("o_orderpriority", pa.string())]
-        ),
-    ).rename_columns({"o_orderkey": "l_orderkey"})
     joined = hash_join(
         line.map_batches(prep, batch_format="pyarrow"),
-        odim,
+        orders_b.rename_columns({"o_orderkey": "l_orderkey"}),
         "l_orderkey",
-        ["o_orderdate", "o_orderpriority"],
+        {"o_orderdate": pa.timestamp("us"), "o_orderpriority": pa.string()},
         how="inner",
     )
     agg = grouped_int_sums(
@@ -295,11 +279,7 @@ def q5_region_revenue(sf_dir: str) -> pd.DataFrame:
              ("n_items", pa.int64())]
         ),
     )
-    # per_supp comes out of a map_groups combine — scrub the schema-less
-    # empty blocks it may carry before the Acero join (see drop_empty_blocks)
-    from .functions.joins import drop_empty_blocks
-
-    joined = hash_join(drop_empty_blocks(per_supp), supplier_r, "l_suppkey", ["r_name"], how="inner")
+    joined = hash_join(per_supp, supplier_r, "l_suppkey", {"r_name": pa.string()}, how="inner")
     final = grouped_int_sums(
         joined, ["r_name"], ["sum_rev_u", "n_items"], count_alias=None, as_float=True,
         anchor=pa.schema(
@@ -355,9 +335,7 @@ def q_orders_by_segment(sf_dir: str) -> pd.DataFrame:
     cust = _t(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]).rename_columns(
         {"c_custkey": "o_custkey"}
     )
-    from .functions.joins import drop_empty_blocks
-
-    joined = hash_join(drop_empty_blocks(per_cust), cust, "o_custkey", ["c_mktsegment"], how="inner")
+    joined = hash_join(per_cust, cust, "o_custkey", {"c_mktsegment": pa.string()}, how="inner")
     final = grouped_int_sums(
         joined, ["c_mktsegment"], ["sum_price_c", "n_orders"], count_alias=None, as_float=True,
         anchor=pa.schema(
@@ -869,9 +847,6 @@ def q_dedup_minhash(sf_dir: str) -> ray.data.Dataset:
     the band curve puts miss probability at s=0.5 below 1e-8, so the verified
     output equals the brute-force jaccard oracle (which is what the SQL
     computes pairwise; LSH is the scale path, the oracle is the semantics)."""
-    if _empty(sf_dir, "documents"):
-        return ray.data.from_arrow(_empty_result(
-            id_a=pa.int64(), id_b=pa.int64(), jaccard=pa.float64()))
     docs = _t(sf_dir, "documents", columns=["doc_id", "text"])
     return dd.dedup_minhash(docs, "text", "doc_id", threshold=0.5, num_hashes=128, bands=64)
 
@@ -920,9 +895,6 @@ def q_dedup_jaccard(sf_dir: str) -> ray.data.Dataset:
     oracle, but only ~(1-τ) of each doc's shingles enter the shuffle. The
     lower threshold (vs minhash's 0.5) exercises pairs the banding path never
     sees and pins the prefix filter's losslessness."""
-    if _empty(sf_dir, "documents"):
-        return ray.data.from_arrow(_empty_result(
-            id_a=pa.int64(), id_b=pa.int64(), jaccard=pa.float64()))
     docs = _t(sf_dir, "documents", columns=["doc_id", "text"])
     return dd.dedup_ngram_jaccard(docs, "text", "doc_id", threshold=0.4, k=3)
 
@@ -965,9 +937,6 @@ def q_dup_clusters(sf_dir: str) -> ray.data.Dataset:
     canonical survivor a training pipeline keeps (``doc_id == cluster_id``).
     Oracle: DuckDB recursive transitive closure over the same brute-force
     pair truth the minhash oracle uses."""
-    if _empty(sf_dir, "documents"):
-        return ray.data.from_arrow(_empty_result(
-            doc_id=pa.int64(), cluster_id=pa.int64()))
     from .stages.graph import dup_clusters
 
     docs = _t(sf_dir, "documents", columns=["doc_id", "text"])
@@ -1013,10 +982,7 @@ def q_curation_pipeline(sf_dir: str) -> ray.data.Dataset:
     end to end, not just stage by stage. Streaming shape: filters are
     block-local, dedup/cluster reuse the bucketed patterns, survivor/loser
     sets apply via bucketed semi/anti hash joins."""
-    if _empty(sf_dir, "documents"):
-        return ray.data.from_arrow(_empty_result(
-            doc_id=pa.int64(), n_tokens=pa.int64()))
-    from .functions.joins import drop_empty_blocks, hash_join
+    from .functions.joins import hash_join
     from .stages.graph import connected_components
 
     docs = _t(sf_dir, "documents", columns=["doc_id", "text"])
@@ -1039,15 +1005,11 @@ def q_curation_pipeline(sf_dir: str) -> ray.data.Dataset:
 
     cur = cur.map_batches(keep_en, batch_format="pyarrow")
 
-    survivors = drop_empty_blocks(
-        dd.dedup_exact(cur, "text", "doc_id").select_columns(["doc_id"])
-    )
-    # CLAUDE.md invariant: scrub the join output before it feeds further
-    # joins/groupbys (empty sort partitions emit schema-less blocks Acero
-    # rejects); materialize because `cur` fans out to three consumers
-    # (minhash pairs + the anti join below) — post-filter it is small, and
-    # without pinning the LanguageId actor-pool stage re-executes per consumer
-    cur = drop_empty_blocks(hash_join(cur, survivors, "doc_id", how="semi")).materialize()
+    survivors = dd.dedup_exact(cur, "text", "doc_id").select_columns(["doc_id"])
+    # materialize because `cur` fans out (minhash pairs + the anti join
+    # below) — post-filter it is small, and without pinning the LanguageId
+    # actor-pool stage re-executes per consumer
+    cur = hash_join(cur, survivors, "doc_id", how="semi").materialize()
 
     pairs = dd.dedup_minhash(cur, "text", "doc_id", threshold=0.5, num_hashes=128, bands=64)
     clusters = connected_components(pairs)
@@ -1056,9 +1018,7 @@ def q_curation_pipeline(sf_dir: str) -> ray.data.Dataset:
         keep = pc.not_equal(batch["doc_id"], batch["cluster_id"])
         return batch.filter(keep).select(["doc_id"])
 
-    loser_ids = drop_empty_blocks(
-        clusters.map_batches(losers, batch_format="pyarrow", batch_size=None)
-    )
+    loser_ids = clusters.map_batches(losers, batch_format="pyarrow", batch_size=None)
     kept = hash_join(cur, loser_ids, "doc_id", how="anti")
     return kept.select_columns(["doc_id", "n_tokens"])
 
@@ -1121,9 +1081,6 @@ def q_lm_xent(sf_dir: str) -> ray.data.Dataset:
     tables), then the exploded bigram stream hash-joins the counts and
     reduces -avg(ln p) per doc. The oracle rebuilds the identical model and
     expression in SQL."""
-    if _empty(sf_dir, "documents"):
-        return ray.data.from_arrow(_empty_result(
-            doc_id=pa.int64(), n_bigrams=pa.int64(), xent=pa.float64()))
     from .stages.lm import ngram_cross_entropy
 
     docs = _t(sf_dir, "documents", columns=["doc_id", "text"])
@@ -1164,11 +1121,8 @@ def q_customer_order_counts(sf_dir: str) -> ray.data.Dataset:
     dimension-preserving join shape q5/q3 (inner) never exercises. Orders
     pre-aggregate per custkey BEFORE the join (one row per customer enters
     the exchange, the skew-safe order)."""
-    if _empty(sf_dir, "customer"):
-        return ray.data.from_arrow(_empty_result(
-            c_custkey=pa.int64(), n_big_orders=pa.int64()))
     from .functions.bucketed import bucketed_map_groups
-    from .functions.joins import drop_empty_blocks, hash_join
+    from .functions.joins import hash_join
 
     cust = _t(sf_dir, "customer", columns=["c_custkey"])
     orders = _t(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
@@ -1183,20 +1137,8 @@ def q_customer_order_counts(sf_dir: str) -> ray.data.Dataset:
         return t.rename_columns(["c_custkey", "n_big_orders"])
 
     part = orders.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    agg = drop_empty_blocks(
-        bucketed_map_groups(part, ["c_custkey"], combine),
-        anchor=pa.schema([("c_custkey", pa.int64()), ("n_big_orders", pa.int64())]),
-    )
-    if agg.count() == 0:
-        # no high-value orders anywhere: skip the join (Ray 2.49 joins cannot
-        # take a fully-empty side; agg is materialized so count() is cheap)
-        return cust.map_batches(
-            lambda b: b.append_column(
-                "n_big_orders", pa.array([0] * len(b), pa.int64())
-            ),
-            batch_format="pyarrow",
-        )
-    joined = hash_join(cust, agg, "c_custkey", how="left")
+    agg = bucketed_map_groups(part, ["c_custkey"], combine)
+    joined = hash_join(cust, agg, "c_custkey", {"n_big_orders": pa.int64()}, how="left")
 
     def fill(batch: pa.Table) -> pa.Table:
         n = pc.fill_null(batch["n_big_orders"], 0)
@@ -1881,9 +1823,6 @@ def q_dedup_incremental(sf_dir: str) -> ray.data.Dataset:
     the standing corpus is never re-deduplicated against itself."""
     from .stages.dedup import dedup_incremental
 
-    if _empty(sf_dir, "documents"):
-        return ray.data.from_arrow(_empty_result(
-            doc_id=pa.int64(), dedup_key=pa.string(), is_duplicate=pa.bool_()))
     docs = _t(sf_dir, "documents", columns=["doc_id", "text"])
 
     def shard(batch: pa.Table, keep_existing: bool) -> pa.Table:
@@ -2101,9 +2040,6 @@ def q_substring_dedup(sf_dir: str) -> ray.data.Dataset:
     int64 window keys cross the exchange."""
     from .stages.dedup import remove_duplicate_substrings
 
-    if _empty(sf_dir, "documents"):
-        return ray.data.from_arrow(_empty_result(
-            doc_id=pa.int64(), clean_text=pa.string(), n_tokens_removed=pa.int64()))
     docs = _t(sf_dir, "documents", columns=["doc_id", "text"])
     return remove_duplicate_substrings(docs, "text", "doc_id", window=8)
 
@@ -2155,10 +2091,6 @@ def q_dedup_incremental_minhash(sf_dir: str) -> ray.data.Dataset:
     oracle is the brute-force cross-shard Jaccard truth."""
     from .stages.dedup import dedup_incremental_minhash
 
-    if _empty(sf_dir, "documents"):
-        return ray.data.from_arrow(_empty_result(
-            doc_id=pa.int64(), is_near_duplicate=pa.bool_(),
-            n_matches=pa.int64(), max_jaccard=pa.float64()))
     docs = _t(sf_dir, "documents", columns=["doc_id", "text"])
 
     def shard(batch: pa.Table, keep_existing: bool) -> pa.Table:
@@ -2621,11 +2553,14 @@ def q_dedup_semantic(sf_dir: str) -> pa.Table:
     pairs = sim.semantic_pairs(
         emb, "embedding", "vec_id", threshold=0.9, n_centroids=8
     )
+
+    def probe_pairs(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.and_(pc.greater_equal(batch["id_a"], 1_000_000),
+                                    pc.greater_equal(batch["id_b"], 1_000_000)))
+
     found = {
         (r["id_a"], r["id_b"])
-        for r in pairs.filter(
-            lambda row: row["id_a"] >= 1_000_000 and row["id_b"] >= 1_000_000
-        ).take_all()
+        for r in pairs.map_batches(probe_pairs, batch_format="pyarrow").take_all()
     }
     # true probe pairs: brute force over the 40-vector fixture (probe-sized)
     import pyarrow.parquet as _pq

@@ -428,35 +428,13 @@ def _verify_pairs_exact(
 ) -> ray.data.Dataset:
     """Exact-Jaccard verification of candidate ``(id_a, id_b)`` pairs —
     fully bucketed, shared by the minhash and n-gram-Jaccard dedups."""
+    from ..functions.joins import hash_join
+
     # pairs fans out to two consumers below (candidate explode + join probe);
     # materialize the SMALL candidate set once so the corpus-wide candidate
     # chain is not re-executed per consumer (blocks stay in the object store
-    # and spill — never on the driver), and drop the schema-less empty blocks
-    # map_groups leaves behind so the Acero joins see a stable schema
-    from ..functions.joins import drop_empty_blocks
-
-    # int64 id anchors: the empty-corpus guard only engages when EVERY block
-    # is empty and Ray kept no schema (sf ids are int64; a string-id caller
-    # hits this only on a zero-row corpus)
-    pairs = drop_empty_blocks(
-        pairs, anchor=pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
-    )
-    if pairs.count() == 0:
-        # no candidates at all (fully-truncated buckets / empty corpus):
-        # Ray 2.49's Dataset.join cannot take a fully-empty side — and the
-        # verified result is definitionally empty. count() here is metadata
-        # on the just-materialized candidate set, not a recompute.
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "id_a": pa.array([], pa.int64()),
-                    "id_b": pa.array([], pa.int64()),
-                    "jaccard": pa.array([], pa.float64()),
-                }
-            )
-        )
-
-    from ..functions.joins import hash_join
+    # and spill — never on the driver)
+    pairs = pairs.materialize()
 
     # 1. candidate ids: explode pairs → distinct doc ids that collided anywhere
     def explode_ids(batch: pa.Table) -> pa.Table:
@@ -465,15 +443,11 @@ def _verify_pairs_exact(
         )
         return pa.table({id_column: pc.unique(ids)})
 
-    # pairs is non-empty here (the count()==0 short-circuit above) and was
-    # scrubbed to non-empty blocks, so every explode output block is
-    # non-empty too — the join sides below never see a 0-row block (a lone
-    # 0-row block in a join partition breaks Ray 2.49's Acero finalize)
     candidates = pairs.map_batches(explode_ids, batch_format="pyarrow")
 
     # 2. corpus ⋉ candidates (bucketed semi-join), then shingle ONLY those docs
     colliding = hash_join(
-        ds.select_columns([id_column, text_column]), candidates, id_column, [], how="semi"
+        ds.select_columns([id_column, text_column]), candidates, id_column, how="semi"
     )
 
     def to_shingles(batch: pa.Table) -> pa.Table:
@@ -491,30 +465,13 @@ def _verify_pairs_exact(
         )
 
     # doc_shingles also feeds two joins — materialize (candidate-sized, small)
-    doc_shingles = drop_empty_blocks(
-        colliding.map_batches(to_shingles, batch_format="pyarrow"),
-        anchor=pa.schema([(id_column, pa.int64()), ("shingles", pa.binary())]),
-    )
+    doc_shingles = colliding.map_batches(to_shingles, batch_format="pyarrow").materialize()
 
     # 3. attach shingles to each pair side via two bucketed joins, then verify
     side_a = doc_shingles.rename_columns({id_column: "id_a", "shingles": "shingles_a"})
     side_b = doc_shingles.rename_columns({id_column: "id_b", "shingles": "shingles_b"})
-    withs = hash_join(pairs, side_a, "id_a", ["shingles_a"], how="inner")
-    # a join's own empty partitions can also surface schema-less blocks —
-    # scrub the join→join seam (candidate-sized, cheap)
-    withs = hash_join(
-        drop_empty_blocks(
-            withs,
-            anchor=pa.schema(
-                [("id_a", pa.int64()), ("id_b", pa.int64()),
-                 ("shingles_a", pa.binary())]
-            ),
-        ),
-        side_b,
-        "id_b",
-        ["shingles_b"],
-        how="inner",
-    )
+    withs = hash_join(pairs, side_a, "id_a", {"shingles_a": pa.binary()}, how="inner")
+    withs = hash_join(withs, side_b, "id_b", {"shingles_b": pa.binary()}, how="inner")
 
     def verify_batch(batch: pa.Table) -> pa.Table:
         ja = [
@@ -974,7 +931,7 @@ def dedup_segments(
     if not keep_text:
         return survivors
 
-    from ..functions.joins import drop_empty_blocks, hash_join
+    from ..functions.joins import hash_join
 
     def explode_text(batch: pa.Table) -> pa.Table:
         ids, idxs, segs, rks = [], [], [], []
@@ -1002,20 +959,7 @@ def dedup_segments(
         ]
         return pa.table({"row_key": pa.array(rks, pa.string())})
 
-    keys = drop_empty_blocks(
-        survivors.map_batches(survivor_keys, batch_format="pyarrow"),
-        anchor=pa.schema([("row_key", pa.string())]),
-    )
-    if keys.count() == 0:
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    id_column: pa.array([], pa.int64()),
-                    "seg_idx": pa.array([], pa.int64()),
-                    "seg": pa.array([], pa.string()),
-                }
-            )
-        )
+    keys = survivors.map_batches(survivor_keys, batch_format="pyarrow")
     rejoined = hash_join(
         ds.map_batches(explode_text, batch_format="pyarrow"), keys, "row_key", how="semi"
     )
@@ -1168,7 +1112,7 @@ def dedup_incremental(
 
     Compose with :func:`dedup_exact` on the new shard itself for the full
     ingest step (intra-shard first-wins, then cross-corpus flagging)."""
-    from ..functions.joins import drop_empty_blocks, hash_join
+    from ..functions.joins import hash_join
 
     def key_rows(batch: pa.Table) -> pa.Table:
         texts = batch[text_column].to_pylist()
@@ -1194,28 +1138,14 @@ def dedup_incremental(
         t = g.group_by("dedup_key").aggregate([("_hit", "min")])
         return t.rename_columns(["dedup_key", "_hit"])
 
-    old_keys = drop_empty_blocks(
-        bucketed_map_groups(
-            existing.map_batches(existing_keys, batch_format="pyarrow"),
-            ["dedup_key"],
-            distinct_bucket,
-            num_buckets=64,
-        ),
-        anchor=pa.schema([("dedup_key", pa.string()), ("_hit", pa.bool_())]),
+    old_keys = bucketed_map_groups(
+        existing.map_batches(existing_keys, batch_format="pyarrow"),
+        ["dedup_key"],
+        distinct_bucket,
+        num_buckets=64,
     )
-
-    if old_keys.count() == 0:
-        # empty standing corpus: nothing can be a duplicate (and a fully
-        # empty join side would trip the Ray 2.49 join bug)
-        return new_keys.map_batches(
-            lambda b: b.append_column(
-                "is_duplicate", pa.array([False] * len(b), pa.bool_())
-            ),
-            batch_format="pyarrow",
-        )
-
     joined = hash_join(
-        new_keys, old_keys, "dedup_key", ["_hit"], how="left",
+        new_keys, old_keys, "dedup_key", {"_hit": pa.bool_()}, how="left",
         num_buckets=num_buckets,
     )
 
@@ -1291,7 +1221,7 @@ def dedup_incremental_minhash(
     import pandas as pd
 
     from ..functions.bucketed import bucketed_map_groups
-    from ..functions.joins import drop_empty_blocks, hash_join
+    from ..functions.joins import hash_join
 
     mh_kwargs = dict(
         text_column=text_column, id_column=id_column, num_hashes=num_hashes,
@@ -1352,34 +1282,7 @@ def dedup_incremental_minhash(
     corpus = new.select_columns([id_column, text_column]).union(
         existing.select_columns([id_column, text_column])
     )
-    verified = drop_empty_blocks(
-        _verify_pairs_exact(corpus, pairs, text_column, id_column, threshold, k),
-        anchor=pa.schema(
-            [("id_a", pa.int64()), ("id_b", pa.int64()), ("jaccard", pa.float64())]
-        ),
-    )
-
-    new_ids = new.select_columns([id_column])
-    no_match_schema = pa.schema(
-        [(id_column, pa.int64()), ("n_matches", pa.int64()), ("max_jaccard", pa.float64())]
-    )
-
-    def all_clean(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        return pa.table(
-            {
-                id_column: batch[id_column],
-                "is_near_duplicate": pa.array(np.zeros(n, bool)),
-                "n_matches": pa.array(np.zeros(n, np.int64)),
-                "max_jaccard": pa.array(np.zeros(n, np.float64)),
-            }
-        )
-
-    # verified is candidate-sized and just materialized by drop_empty_blocks;
-    # count() here is metadata. A fully-empty join side would trip the Ray
-    # 2.49 join bug — and the answer is statically "no duplicates anywhere"
-    if verified.count() == 0:
-        return new_ids.map_batches(all_clean, batch_format="pyarrow")
+    verified = _verify_pairs_exact(corpus, pairs, text_column, id_column, threshold, k)
 
     def agg_matches(g: pa.Table) -> pa.Table:
         t = g.group_by("id_a").aggregate([("id_b", "count"), ("jaccard", "max")])
@@ -1391,12 +1294,10 @@ def dedup_incremental_minhash(
             }
         )
 
-    matches = drop_empty_blocks(
-        bucketed_map_groups(verified, ["id_a"], agg_matches, num_buckets=16),
-        anchor=no_match_schema,
-    )
+    matches = bucketed_map_groups(verified, ["id_a"], agg_matches, num_buckets=16)
     joined = hash_join(
-        new_ids, matches, id_column, ["n_matches", "max_jaccard"], how="left"
+        new.select_columns([id_column]), matches, id_column,
+        {"n_matches": pa.int64(), "max_jaccard": pa.float64()}, how="left",
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -1447,7 +1348,7 @@ def remove_duplicate_substrings(
     ``window`` tokens pass through normalized, never cut.
     """
     from ..functions.bucketed import bucketed_map_groups
-    from ..functions.joins import drop_empty_blocks, hash_join
+    from ..functions.joins import hash_join
     from ..kernels.grams import covered_mask, segment_sum, split_tokens, token_windows
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -1472,30 +1373,10 @@ def remove_duplicate_substrings(
         t = t.filter(pc.greater_equal(t["wkey_count"], min_count))
         return pa.table({"wkey": t["wkey"], "_dup": pa.array([True] * len(t), pa.bool_())})
 
-    dup_keys = drop_empty_blocks(
-        bucketed_map_groups(
-            wins.select_columns(["wkey"]), ["wkey"], count_bucket, num_buckets
-        ),
-        anchor=pa.schema([("wkey", pa.int64()), ("_dup", pa.bool_())]),
+    dup_keys = bucketed_map_groups(
+        wins.select_columns(["wkey"]), ["wkey"], count_bucket, num_buckets
     )
-
-    def normalize_only(batch: pa.Table) -> pa.Table:
-        flat, lens, offs = split_tokens(batch[text_column])
-        lists = pa.ListArray.from_arrays(pa.array(offs, pa.int32()), flat)
-        return pa.table(
-            {
-                id_column: batch[id_column],
-                "clean_text": pc.binary_join(lists, " "),
-                "n_tokens_removed": pa.array(np.zeros(len(batch), np.int64)),
-            }
-        )
-
-    if dup_keys.count() == 0:
-        # nothing duplicated anywhere: normalization-only pass (and a fully
-        # empty join side would trip the Ray 2.49 join bug)
-        return ds.map_batches(normalize_only, batch_format="pyarrow")
-
-    dup_wins = hash_join(wins, dup_keys, "wkey", [], how="semi")
+    dup_wins = hash_join(wins, dup_keys, "wkey", how="semi")
 
     def pack_positions(g: pa.Table) -> pa.Table:
         t = g.group_by(id_column).aggregate([("pos", "list")])
@@ -1505,13 +1386,10 @@ def remove_duplicate_substrings(
         ]
         return pa.table({id_column: ids, "dup_pos": pa.array(packed, pa.binary())})
 
-    pos_tbl = drop_empty_blocks(
-        bucketed_map_groups(dup_wins, [id_column], pack_positions, num_buckets),
-        anchor=pa.schema([(id_column, pa.int64()), ("dup_pos", pa.binary())]),
-    )
+    pos_tbl = bucketed_map_groups(dup_wins, [id_column], pack_positions, num_buckets)
     joined = hash_join(
-        ds.select_columns([id_column, text_column]), pos_tbl, id_column, ["dup_pos"],
-        how="left",
+        ds.select_columns([id_column, text_column]), pos_tbl, id_column,
+        {"dup_pos": pa.binary()}, how="left",
     )
 
     def rebuild(batch: pa.Table) -> pa.Table:

@@ -8,11 +8,13 @@ score low, out-of-distribution word salad scores high.
 
 Distributed shape — nothing corpus-sized on the driver:
 
-1. one pass explodes docs into (doc_id, w1, bigram) rows; distinct-token
-   vocabulary size V and the count tables C(bigram), C(w1-as-first) are
-   bucketed groupby counts (the repo's tiny-group-safe pattern);
-2. the scoring pass hash-joins the exploded bigram stream against the two
-   count tables (corpus-sized × vocab-sized — a shuffle join, NOT a
+1. one pass explodes docs into (doc_id, bigram) rows; distinct-token
+   vocabulary size V and the count table C(bigram) are bucketed groupby
+   counts (the repo's tiny-group-safe pattern), and C(w1-as-first) is the
+   per-w1 sum of C(bigram), attached to each bigram row in one bucketed
+   pass keyed on w1;
+2. the scoring pass hash-joins the exploded bigram stream against that
+   model table (corpus-sized × vocab-sized — a shuffle join, NOT a
    broadcast: real vocabularies don't fit a task heap) and reduces
    ``-avg(ln((c12+1)/(c1+V)))`` per doc with a bucketed groupby.
 
@@ -30,7 +32,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..functions.bucketed import bucketed_map_groups
-from ..functions.joins import drop_empty_blocks, hash_join
+from ..functions.joins import hash_join
 
 __all__ = ["ngram_cross_entropy"]
 
@@ -40,15 +42,9 @@ def _explode_bigrams(batch: pa.Table, text_column: str, id_column: str) -> pa.Ta
     string joins — no per-document Python loop; kernels/grams.py)."""
     from ..kernels.grams import explode_bigrams
 
-    row_idx, w1, bg = explode_bigrams(batch[text_column])
+    row_idx, _, bg = explode_bigrams(batch[text_column])
     take = pa.array(row_idx, pa.int64())
-    return pa.table(
-        {
-            "doc_id": pc.take(batch[id_column], take),
-            "w1": w1,
-            "b": bg,
-        }
-    )
+    return pa.table({"doc_id": pc.take(batch[id_column], take), "b": bg})
 
 
 def _count_by(ds: ray.data.Dataset, col: str, out: str, num_buckets: int) -> ray.data.Dataset:
@@ -85,7 +81,7 @@ def ngram_cross_entropy(
         lambda b: _explode_bigrams(b, text_column, id_column),
         batch_format="pyarrow",
         batch_size=None,
-    ).materialize()  # consumed 4× below; bigram rows, not raw docs
+    ).materialize()  # counted and joined below; bigram rows, not raw docs
 
     # vocabulary: distinct tokens over the corpus (both bigram positions ∪
     # singleton docs contribute — count distinct over ALL tokens)
@@ -105,56 +101,30 @@ def ngram_cross_entropy(
     v_total = vparts.sum("n")
     v = int(v_total) if v_total is not None else 0
 
-    cbg = drop_empty_blocks(
-        _count_by(bg, "b", "c12", num_buckets),
-        anchor=pa.schema([("b", pa.string()), ("c12", pa.int64())]),
-    )
-    cw1 = drop_empty_blocks(
-        _count_by(bg, "w1", "c1", num_buckets),
-        anchor=pa.schema([("w1", pa.string()), ("c1", pa.int64())]),
-    )
-
-    # attach C(w1) to the bigram-count table FIRST (vocab-sized × vocab-sized
-    # join; w1 is recoverable from the bigram string because tokens are
-    # whitespace-split), so the corpus-sized stream below needs only ONE join
+    # C(w1) = bigram rows with first word w1 = Σ C(w1 w2) over the bigram
+    # table (w1 is the bigram's first " "-piece: tokens are whitespace-split),
+    # so one bucketed pass keyed on w1 attaches c1 to every (b, c12) row —
+    # no second count over the bigram stream, no vocab×vocab join
     def with_w1(batch: pa.Table) -> pa.Table:
         w1 = pc.list_element(pc.split_pattern(batch["b"], " "), 0)
         return batch.append_column("w1", w1)
 
-    model = hash_join(
-        drop_empty_blocks(
-            cbg.map_batches(with_w1, batch_format="pyarrow", batch_size=None),
-            anchor=pa.schema(
-                [("b", pa.string()), ("c12", pa.int64()), ("w1", pa.string())]
-            ),
+    def attach_c1(g: pa.Table) -> pa.Table:
+        c1 = g.group_by("w1").aggregate([("c12", "sum")])
+        idx = pc.index_in(g["w1"], value_set=c1["w1"].combine_chunks())
+        return pa.table({"b": g["b"], "c12": g["c12"], "c1": pc.take(c1["c12_sum"], idx)})
+
+    model = bucketed_map_groups(
+        _count_by(bg, "b", "c12", num_buckets).map_batches(
+            with_w1, batch_format="pyarrow", batch_size=None
         ),
-        cw1,
-        "w1",
-        num_buckets=join_buckets,
-    ).select_columns(["b", "c12", "c1"])
-    # join→join seam scrub (vocab-sized — cheap; CLAUDE.md invariant)
-    model = drop_empty_blocks(
-        model,
-        anchor=pa.schema(
-            [("b", pa.string()), ("c12", pa.int64()), ("c1", pa.int64())]
-        ),
+        ["w1"],
+        attach_c1,
+        num_buckets,
     )
-
-    if model.count() == 0:
-        # empty model => no doc had >= 2 tokens: result is typed-empty
-        # (Ray 2.49 joins cannot take a fully-empty side; model is already
-        # materialized by the seam scrub, so count() is metadata-cheap)
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "n_bigrams": pa.array([], pa.int64()),
-                    "xent": pa.array([], pa.float64()),
-                }
-            )
-        )
-
-    joined = hash_join(bg.select_columns(["doc_id", "b"]), model, "b", num_buckets=join_buckets)
+    joined = hash_join(
+        bg, model, "b", {"c12": pa.int64(), "c1": pa.int64()}, num_buckets=join_buckets
+    )
 
     def score(batch: pa.Table) -> pa.Table:
         c12 = batch["c12"].to_numpy(zero_copy_only=False).astype(np.float64)

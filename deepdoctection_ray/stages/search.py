@@ -136,7 +136,7 @@ def tfidf_topk(
     heap); top-n per doc via the lossless-combiner + bucketed-head
     primitive. Output: ``(id, term, tf, df, tfidf)``."""
     from ..functions.aggregates import grouped_sums, top_n_per_group
-    from ..functions.joins import drop_empty_blocks, hash_join
+    from ..functions.joins import hash_join
 
     n_docs = ds.count()
     if n_docs == 0:
@@ -173,8 +173,8 @@ def tfidf_topk(
 
     tf_rows = ds.map_batches(explode_tf, batch_format="pyarrow").materialize()
     if tf_rows.count() == 0:
-        # every document tokenized to nothing: typed empty result (a fully
-        # empty side would also break the Ray 2.49 join below)
+        # every document tokenized to nothing: typed empty result carrying
+        # the documented columns
         return ray.data.from_arrow(
             pa.table(
                 {
@@ -189,11 +189,8 @@ def tfidf_topk(
     # tf rows are unique per (doc, term): a plain grouped count IS the
     # document frequency. One caveat: a doc whose text repeats across blocks
     # cannot occur (rows group per batch but a doc lives in one row).
-    df_tab = drop_empty_blocks(
-        grouped_sums(tf_rows.select_columns(["term"]), ["term"], [], count_alias="df"),
-        anchor=pa.schema([("term", pa.string()), ("df", pa.int64())]),
-    )
-    joined = hash_join(tf_rows, df_tab, "term", ["df"], num_buckets=join_buckets)
+    df_tab = grouped_sums(tf_rows.select_columns(["term"]), ["term"], [], count_alias="df")
+    joined = hash_join(tf_rows, df_tab, "term", {"df": pa.int64()}, num_buckets=join_buckets)
 
     def score(batch: pa.Table) -> pa.Table:
         tf = batch["tf"].to_numpy(zero_copy_only=False).astype(np.float64)

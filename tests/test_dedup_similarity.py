@@ -570,6 +570,8 @@ def test_knn_pq_recall_with_rerank(ray_session):
 
 
 def test_remove_duplicate_substrings_cuts_repeated_spans(ray_session):
+    import pandas as pd
+    import pyarrow.compute as pc
     import ray.data
 
     from deepdoctection_ray.stages.dedup import remove_duplicate_substrings
@@ -605,6 +607,15 @@ def test_remove_duplicate_substrings_cuts_repeated_spans(ray_session):
     assert out.loc[2, "n_tokens_removed"] == 0
     assert out.loc[2, "clean_text"] == docs["text"][2].as_py()
     assert out.loc[3, "clean_text"] == "short doc" and out.loc[3, "n_tokens_removed"] == 0
+
+    # a first block holding only docs shorter than the window explodes to no
+    # window at all; the block order must not change the answer
+    short, long_ = docs.filter(pc.equal(docs["doc_id"], 3)), docs.filter(pc.not_equal(docs["doc_id"], 3))
+    for blocks in ([short, long_], [long_, short]):
+        got = remove_duplicate_substrings(ray.data.from_arrow(blocks), "text", "doc_id", window=8)
+        pd.testing.assert_frame_equal(
+            got.to_pandas().sort_values("doc_id").reset_index(drop=True), out
+        )
 
     # WITHIN-document repetition counts too: one doc repeating its own span
     self_rep = pa.table(

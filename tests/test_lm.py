@@ -28,9 +28,17 @@ def _expected():
     return {1: (3, round(x1, 6)), 2: (2, round(x2, 6))}
 
 
-@pytest.mark.parametrize("parallelism", [1, 3])
-def test_lm_xent_hand_model(ray_session, parallelism):
-    ds = ray.data.from_items(DOCS, override_num_blocks=parallelism)
+@pytest.mark.parametrize(
+    "docs, parallelism",
+    [
+        pytest.param(DOCS, 1, id="1"),
+        pytest.param(DOCS, 3, id="3"),
+        # first block holds only "" and "x": it explodes to no bigram at all
+        pytest.param(DOCS[::-1], 2, id="reversed-2"),
+    ],
+)
+def test_lm_xent_hand_model(ray_session, docs, parallelism):
+    ds = ray.data.from_items(docs, override_num_blocks=parallelism)
     out = ngram_cross_entropy(ds).to_pandas().set_index("doc_id")
     exp = _expected()
     assert set(out.index) == set(exp)

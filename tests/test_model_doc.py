@@ -142,3 +142,9 @@ def test_attach_detections_join(ray_session):
     cats2 = [b["category"] for b in rows[2]["blocks"]]
     assert cats2[0] == "text" and "table" in cats2  # existing blocks kept, detections appended
     assert rows[3]["blocks"] == []
+
+    # no detections at all: every payload comes back unchanged
+    none = detections.filter(expr="doc_id < 0")
+    before = {r["doc_id"]: r["payload"] for r in docs.take_all()}
+    after = attach_detections(docs, none, num_buckets=4).take_all()
+    assert {r["doc_id"]: r["payload"] for r in after} == before

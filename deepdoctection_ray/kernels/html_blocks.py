@@ -119,9 +119,10 @@ class _BlockCollector(HTMLParser):
         if target is None:
             return
         target["chunks"].append(data)
+        n_chars = len(data.strip())
         if self._link_depth:
-            target["link_chars"] += len(data.strip())
-        target["total_chars"] += len(data.strip())
+            target["link_chars"] += n_chars
+        target["total_chars"] += n_chars
 
     # -- helpers ------------------------------------------------------------
     @staticmethod

@@ -137,7 +137,7 @@ def extract_layout(
             [word_rel_list[r] for r in res_idx], 1.0, 1.0, True, paragraph_break,
             absolute=False, centers=[word_centers[r] for r in res_idx],
         )
-        line_entries = [(box, [res_idx[m] for m in members]) for box, members in lines]
+        line_entries = [(box, [res_idx[m] for m in members]) for box, members, _ in lines]
 
     # 4. reading order over floating blocks + lines (relative coords)
     floats: list[tuple[str, np.ndarray, list[int]]] = []  # (category, rel box, word ids)

@@ -18,12 +18,18 @@ _CONTROL = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f]")
 
 def clean_token(token: str) -> str:
     """Strip C0/C1 control characters from a token."""
-    return _CONTROL.sub("", token)
+    return _CONTROL.sub("", token) if _CONTROL.search(token) else token
 
 
 def tokenize_plain(text: str) -> list[str]:
-    """Whitespace tokenization with control-char stripping; empty tokens drop."""
-    return [t for t in (clean_token(t) for t in text.split()) if t]
+    """Whitespace tokenization with control-char stripping; empty tokens drop.
+
+    Almost no text holds a control character, and without one every
+    ``str.split`` token is already clean and non-empty: one search decides.
+    """
+    if not _CONTROL.search(text):
+        return text.split()
+    return [t for t in (_CONTROL.sub("", t) for t in text.split()) if t]
 
 
 def normalize_plain(text: str) -> str:

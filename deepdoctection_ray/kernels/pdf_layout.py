@@ -19,125 +19,182 @@ residual text container):
 4. lines act as floating text blocks and get a reading order via
    ``order_blocks`` (``order.py:201-330``);
 5. words are ordered within each line via ``group_words_into_lines``
-   (``order.py:72-132``).
+   (``order.py:72-132``) — the order ``make_text_lines`` already computed.
+
+JSON is decoded per turn; the bounds filter, snapping, the relative
+transform and the fixed-point centers run once over the flat words of a
+whole batch (elementwise IEEE operations, so bit-identical to a per-turn
+run); line building and block ordering stay per turn.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from itertools import compress
 
 import numpy as np
 
 from . import boxes as B
 from .assemble import Block
 from .normalize import clean_token
-from .reading_order import PARAGRAPH_BREAK, group_words_into_lines, order_blocks, rel_centers
+from .reading_order import PARAGRAPH_BREAK, order_blocks, rel_center_arrays
 from .textlines import make_text_lines
+from .transforms import estimate_skew_angle, rotate_boxes, rotate_boxes_by_degrees, rotated_extent
+
+DESKEW_MIN_ANGLE = 0.5  # degrees; a smaller estimated skew is left alone
 
 
-def parse_pdfish_payload(payload: str) -> tuple[list[str], np.ndarray, float, float, int]:
-    """Decode the JSON payload into (texts, abs boxes, width, height, rotation)."""
+def _decode(payload: str) -> tuple[list[str], list[float], float, float, int]:
+    """JSON → (cleaned tokens, flat ``x0, top, x1, bottom`` coords, width,
+    height, rotation) of every word with a non-empty token; the bounds
+    filter runs batch-wide."""
     doc = json.loads(payload)
     page = doc.get("page") or {}
     width = float(page.get("width", 612.0))
     height = float(page.get("height", 792.0))
     rotation = int(page.get("rotation", 0))
-    words = doc.get("words") or []
-    texts: list[str] = []
-    raw: list[list[float]] = []
-    for w in words:
+    tokens: list[str] = []
+    coords: list[float] = []
+    for w in doc.get("words") or []:
         x0, top, x1, bottom = float(w["x0"]), float(w["top"]), float(w["x1"]), float(w["bottom"])
-        # page-bounds filter, pipe/text.py:132-137
-        if x0 >= width or top >= height or x1 >= width or bottom >= height:
-            continue
-        token = clean_token(str(w["text"]))
-        if not token:
-            continue
-        texts.append(token)
-        raw.append([x0, top, x1, bottom])
-    if not raw:
-        return [], np.empty((0, 4)), width, height, rotation
-    return texts, B.snap_abs(np.array(raw, dtype=np.float64)), width, height, rotation
+        if "text" in w:
+            token = clean_token(str(w["text"]))
+        elif x0 >= width or top >= height or x1 >= width or bottom >= height:
+            continue  # out of bounds: the filter drops it unread
+        else:
+            raise KeyError("text")
+        if token:
+            tokens.append(token)
+            coords += (x0, top, x1, bottom)
+    return tokens, coords, width, height, rotation
+
+
+def _reframe(
+    boxes: np.ndarray, width: float, height: float, rotation: int, deskew: bool
+) -> tuple[np.ndarray, float, float]:
+    """One page's right-angle rotation, then its opt-in skew correction."""
+    if rotation % 360:
+        boxes = rotate_boxes(boxes, rotation, width, height)
+        width, height = rotated_extent(rotation, width, height)
+    if deskew and boxes.shape[0] >= 3:
+        angle = estimate_skew_angle(boxes)
+        if abs(angle) >= DESKEW_MIN_ANGLE:
+            boxes = rotate_boxes_by_degrees(boxes, angle, width, height)
+    return boxes, width, height
 
 
 def blocks_from_words(
     texts: list[str],
-    word_boxes: np.ndarray,
-    width: float,
-    height: float,
+    rel: list[list[float]],
+    centers: list[tuple[float, float]],
     paragraph_break: float = PARAGRAPH_BREAK,
 ) -> list[Block]:
-    """Words with geometry → reading-ordered blocks (steps 3–5 above)."""
-    if word_boxes.shape[0] == 0:
-        return []
-    # ordering runs on RELATIVE coords: after image_ann_to_image every word's
-    # base-frame embedding is relative (image.py:843-844), so the real
-    # pipeline's line grouping sees unrounded relative floats
-    rel = B.to_relative(word_boxes, width, height)
-    rel_list = rel.tolist()
-    centers = rel_centers(rel_list)  # hoisted: ordering calls reuse them
-    lines = make_text_lines(rel_list, 1.0, 1.0, True, paragraph_break, absolute=False, centers=centers)
-    line_boxes = np.stack([box for box, _ in lines])
-    line_order = order_blocks(line_boxes)
-    blocks: list[Block] = []
-    for li in line_order:
-        box, members = lines[li]
-        word_order = group_words_into_lines(
-            [rel_list[m] for m in members], absolute=False,
-            centers=[centers[m] for m in members],
+    """One page's words (RELATIVE boxes and their fixed-point centers) →
+    reading-ordered line blocks (steps 3–5 above)."""
+    lines = make_text_lines(rel, 1.0, 1.0, True, paragraph_break, absolute=False, centers=centers)
+    line_order = order_blocks(np.stack([box for box, _, _ in lines]))
+    return [
+        Block(
+            category="line",
+            words=[texts[m] for m in lines[li][2]],
+            bbox=tuple(lines[li][0].tolist()),
         )
-        ordered_words = [texts[members[t[2]]] for t in word_order]
-        blocks.append(
-            Block(category="line", words=ordered_words, bbox=tuple(float(v) for v in box))
-        )
-    return blocks
+        for li in line_order
+    ]
 
 
-def extract_pdfish(payload: str, paragraph_break: float = PARAGRAPH_BREAK) -> list[Block]:
-    """Full pdfish path: JSON → filtered words → (rotation) → ordered blocks.
+def pdfish_blocks(
+    payloads: list[str],
+    paragraph_break: float = PARAGRAPH_BREAK,
+    deskew: bool = False,
+) -> tuple[list[list[Block]], list[Exception | None]]:
+    """Full pdfish path for a batch: JSON → filtered words → (rotation) →
+    ordered blocks, plus the exception that dead-lettered each turn.
 
     A ``page.rotation`` of 90/180/270 marks content that must be rotated CCW
     by that angle to restore reading orientation — the
     ``SimpleTransformService`` analog (``pipe/transform.py:33-113``): the
     rotation is applied to the coordinates before any ordering runs.
-    """
-    texts, word_boxes, width, height, rotation = parse_pdfish_payload(payload)
-    if rotation % 360 and word_boxes.shape[0]:
-        from .transforms import rotate_boxes, rotated_extent
 
-        word_boxes = rotate_boxes(word_boxes, rotation, width, height)
-        width, height = rotated_extent(rotation, width, height)
-    return blocks_from_words(texts, word_boxes, width, height, paragraph_break)
-
-
-def extract_pdfish_deskewed(
-    payload: str,
-    paragraph_break: float = PARAGRAPH_BREAK,
-    min_angle: float = 0.5,
-) -> tuple[list[Block], float]:
-    """OPT-IN deskewing variant (``USE_DESKEW`` in the analyzer config): after
-    the right-angle rotation handling, the residual small-angle skew is
-    ESTIMATED from the word geometry (projection profile + per-line
+    ``deskew`` is the OPT-IN variant (``USE_DESKEW`` in the analyzer
+    config): after the right-angle rotation, the residual small-angle skew
+    is ESTIMATED from the word geometry (projection profile + per-line
     regression, ``transforms.estimate_skew_angle``) and applied before any
-    ordering runs — the full ``SimpleTransformService`` including the angle
-    estimation the reference delegates to its deskew predictor
-    (``extern/deskew.py:37``). Returns ``(blocks, applied_angle_deg)``.
-
-    Kept OUT of the default path on purpose: the default pipeline is pinned
-    bit-exact against the reference, which does not deskew unless configured.
+    ordering runs — the angle estimation the reference delegates to its
+    deskew predictor (``extern/deskew.py:37``). It is off by default because
+    the default pipeline is pinned bit-exact against the reference, which
+    does not deskew unless configured.
     """
-    texts, word_boxes, width, height, rotation = parse_pdfish_payload(payload)
-    if rotation % 360 and word_boxes.shape[0]:
-        from .transforms import rotate_boxes, rotated_extent
+    blocks: list[list[Block]] = [[] for _ in payloads]
+    errors: list[Exception | None] = [None] * len(payloads)
+    rows: list[int] = []
+    pages: list[tuple[float, float, int]] = []
+    counts: list[int] = []
+    tokens: list[str] = []
+    coords: list[float] = []
+    for row, payload in enumerate(payloads):
+        try:
+            toks, xy, width, height, rotation = _decode(payload)
+        except Exception as exc:
+            errors[row] = exc
+            continue
+        rows.append(row)
+        pages.append((width, height, rotation))
+        counts.append(len(toks))
+        tokens += toks
+        coords += xy
+    if not rows:
+        return blocks, errors
 
-        word_boxes = rotate_boxes(word_boxes, rotation, width, height)
-        width, height = rotated_extent(rotation, width, height)
-    applied = 0.0
-    if word_boxes.shape[0] >= 3:
-        from .transforms import estimate_skew_angle, rotate_boxes_by_degrees
+    boxes = np.array(coords, dtype=np.float64).reshape(-1, 4)
+    extent = np.repeat(np.array(pages, dtype=np.float64)[:, [0, 1, 0, 1]], counts, axis=0)
+    # page-bounds filter, pipe/text.py:132-137: any coordinate ≥ the page
+    # extent drops the word (a NaN coordinate compares False and stays)
+    keep = ~(boxes >= extent).any(axis=1)
+    offs = np.concatenate([[0], np.cumsum(keep)])[np.concatenate([[0], np.cumsum(counts)])]
+    boxes, extent = B.snap_abs(boxes[keep]), extent[keep]
+    tokens = list(compress(tokens, keep))
+    offs = offs.tolist()
 
-        angle = estimate_skew_angle(word_boxes)
-        if abs(angle) >= min_angle:
-            word_boxes = rotate_boxes_by_degrees(word_boxes, angle, width, height)
-            applied = angle
-    return blocks_from_words(texts, word_boxes, width, height, paragraph_break), applied
+    for t, (row, (page_w, page_h, rotation)) in enumerate(zip(rows, pages)):
+        s, e = offs[t], offs[t + 1]
+        if e > s and (rotation % 360 or deskew):
+            try:
+                boxes[s:e], width, height = _reframe(boxes[s:e], page_w, page_h, rotation, deskew)
+                extent[s:e] = (width, height, width, height)
+            except Exception as exc:
+                errors[row] = exc
+
+    # ordering runs on RELATIVE coords: after image_ann_to_image every word's
+    # base-frame embedding is relative (image.py:843-844), so the real
+    # pipeline's line grouping sees unrounded relative floats
+    rel = B.to_relative(boxes, extent[:, 0], extent[:, 1])
+    cx, cy = rel_center_arrays(rel)
+    nan_turns = set()
+    if math.isnan(rel.sum()):  # the per-word centers' Python round() rejects NaN
+        nan_turns = set((np.searchsorted(offs, np.flatnonzero(np.isnan(cx + cy)), "right") - 1).tolist())
+    rel_list = rel.tolist()
+    centers = list(zip(cx.tolist(), cy.tolist()))
+    for t, row in enumerate(rows):
+        s, e = offs[t], offs[t + 1]
+        if e == s or errors[row] is not None:
+            continue
+        if t in nan_turns:
+            errors[row] = ValueError("cannot convert float NaN to integer")
+            continue
+        try:
+            blocks[row] = blocks_from_words(
+                tokens[s:e], rel_list[s:e], centers[s:e], paragraph_break
+            )
+        except Exception as exc:
+            errors[row] = exc
+    return blocks, errors
+
+
+def extract_pdfish(payload: str, paragraph_break: float = PARAGRAPH_BREAK) -> list[Block]:
+    """:func:`pdfish_blocks` for one payload; raises its dead-letter error."""
+    [blocks], [error] = pdfish_blocks([payload], paragraph_break)
+    if error is not None:
+        raise error
+    return blocks

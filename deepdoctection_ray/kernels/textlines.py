@@ -34,6 +34,9 @@ def _merge_list(boxes: list[list[float]], members: list[int]) -> np.ndarray:
     )
 
 
+Line = tuple[np.ndarray, list[int], list[int]]
+
+
 def make_text_lines(
     word_boxes: np.ndarray,
     width: float,
@@ -42,7 +45,7 @@ def make_text_lines(
     paragraph_break: float = PARAGRAPH_BREAK,
     absolute: bool = True,
     centers: list[tuple[float, float]] | None = None,
-) -> list[tuple[np.ndarray, list[int]]]:
+) -> list[Line]:
     """Build synthetic lines from word boxes — ``order.py:423-524``.
 
     Args:
@@ -53,16 +56,32 @@ def make_text_lines(
         width / height: page extent (for the relative gap threshold).
 
     Returns:
-        List of ``(line_box, member_word_indices)`` in creation order; the
-        member indices index into ``word_boxes`` and are ulx-sorted within a
-        row segment.
+        List of ``(line_box, member_word_indices, in_line_order)`` in
+        creation order. The member indices index into ``word_boxes`` and are
+        ulx-sorted within a row segment; ``in_line_order`` holds the same
+        indices in the line's word reading order, i.e. what
+        ``group_words_into_lines`` gives for the members.
     """
     boxes = word_boxes.tolist() if hasattr(word_boxes, "tolist") else list(word_boxes)
     if not boxes:
         return []
-    return _lines_rec(
+    lines, _ = _lines_rec(
         boxes, list(range(len(boxes))), width, make_sub_lines, paragraph_break, True, absolute,
         centers,
+    )
+    return lines
+
+
+def _group(
+    boxes: list[list[float]],
+    subset: list[int],
+    absolute: bool,
+    centers: list[tuple[float, float]] | None,
+) -> list[tuple[int, int, int]]:
+    return group_words_into_lines(
+        [boxes[i] for i in subset],
+        absolute=absolute,
+        centers=None if centers is None else [centers[i] for i in subset],
     )
 
 
@@ -75,23 +94,28 @@ def _lines_rec(
     highest_level: bool,
     absolute: bool = True,
     centers: list[tuple[float, float]] | None = None,
-) -> list[tuple[np.ndarray, list[int]]]:
-    order = group_words_into_lines(
-        [boxes[i] for i in subset],
-        absolute=absolute,
-        centers=None if centers is None else [centers[i] for i in subset],
-    )
+) -> tuple[list[Line], list[int] | None]:
+    """Lines of ``subset``, plus ``subset`` in in-line reading order when a
+    nested call finds it is ONE row: the lines are then empty and the caller
+    makes the segment one line (``order.py:456-457``). Every line of two or
+    more words is such a segment, so its word order comes from the one
+    ``group_words_into_lines`` call that already ran on exactly its members."""
+    order = _group(boxes, subset, absolute, centers)
     n_rows = max(t[1] for t in order)
     if n_rows == 1 and not highest_level:
-        return []  # order.py:456-457: single-row recursion → caller merges
+        return [], [subset[t[2]] for t in order]
 
-    out: list[tuple[np.ndarray, list[int]]] = []
+    out: list[Line] = []
     for row_no in range(1, n_rows + 1):
         members = [subset[t[2]] for t in order if t[1] == row_no]
         members.sort(key=lambda i: boxes[i][0])  # order.py:464
 
-        if len(members) < 2 or not make_sub_lines:
-            out.append((_merge_list(boxes, members), members))
+        if len(members) < 2:
+            out.append((_merge_list(boxes, members), members, members))
+            continue
+        if not make_sub_lines:
+            in_line = [members[t[2]] for t in _group(boxes, members, absolute, centers)]
+            out.append((_merge_list(boxes, members), members, in_line))
             continue
 
         segment: list[int] = []
@@ -99,25 +123,23 @@ def _lines_rec(
         for pos, i in enumerate(members):
             if pos == 0:
                 segment = [i]
-                if last == 0:
-                    break  # single member handled above; unreachable, guard only
                 continue
             gap = boxes[i][0] / width - boxes[members[pos - 1]][2] / width
             if gap < paragraph_break:
                 segment.append(i)
             else:
-                nested = _lines_rec(boxes, segment, width, make_sub_lines, paragraph_break, False, absolute, centers)
+                nested, in_line = _lines_rec(boxes, segment, width, make_sub_lines, paragraph_break, False, absolute, centers)
                 if nested:
                     # a sub-line that itself spans rows keeps its nested split
                     # (order.py:499-503)
                     out.extend(nested)
                 else:
-                    out.append((_merge_list(boxes, segment), segment))
+                    out.append((_merge_list(boxes, segment), segment, in_line))
                     segment = [i]
             if pos == last:
-                nested = _lines_rec(boxes, segment, width, make_sub_lines, paragraph_break, False, absolute, centers)
+                nested, in_line = _lines_rec(boxes, segment, width, make_sub_lines, paragraph_break, False, absolute, centers)
                 if nested:
                     out.extend(nested)
                 else:
-                    out.append((_merge_list(boxes, segment), segment))
-    return out
+                    out.append((_merge_list(boxes, segment), segment, in_line))
+    return out, None

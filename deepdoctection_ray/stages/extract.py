@@ -2,9 +2,12 @@
 
 The Ray analog of the reference's component chain
 ``ImageLayoutService → TextExtractionService → MatchingService →
-TextOrderService → PageParsingService`` collapsed into one per-turn kernel
-call (every reference component is a per-record map — SURVEY.md §2.3 — so the
-fusion is semantics-preserving and saves N object-store round trips per turn).
+TextOrderService → PageParsingService`` collapsed into one batch operator
+(every reference component is a per-record map — SURVEY.md §2.3 — so the
+fusion is semantics-preserving and saves N object-store round trips per turn):
+each row is classified once, the kernels return every turn's ordered blocks
+(pdfish geometry runs batch-wide), and one numpy/Arrow pass assembles the
+whole batch's text, spans and blocks.
 
 Stateful pieces (the warm HTML parser, compiled regexes) live in the actor's
 ``__init__`` — once per worker process, amortized over all batches.
@@ -16,8 +19,12 @@ import zlib
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..kernels.extract import extract_turn
+from ..kernels.assemble import Block
+from ..kernels.extract import classify_payload, extract_blocks
+from ..kernels.extract import extract_turn  # noqa: F401  perfbench/layers.py wraps this name
+from ..kernels.grams import ranges, segment_sum
 from ..kernels.html_blocks import DEFAULT_MAX_LINK_DENSITY, _BlockCollector
 from ..kernels.reading_order import PARAGRAPH_BREAK
 
@@ -79,6 +86,59 @@ def conv_partition_ids(
     )
 
 
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(counts)])
+
+
+def assemble_batch(turns: list[list[Block]]) -> tuple[pa.Array, pa.Array, pa.Array]:
+    """``assemble_turn`` for every turn at once → the ``extracted_text``,
+    ``spans`` and ``blocks`` columns.
+
+    Words join with ``" "`` into blocks and blocks with ``"\\n"`` into turns.
+    A word starts after its block's earlier words, each counted as its
+    length in code points (Arrow ``utf8_length``, Python ``len``) plus one
+    separator; a block starts after its turn's earlier blocks, each counted
+    as its text length plus one ``"\\n"`` — a block without words too.
+    """
+    flat = [b for blocks in turns for b in blocks]
+    n_blocks = np.fromiter(map(len, turns), dtype=np.int64, count=len(turns))
+    n_words = np.fromiter((len(b.words) for b in flat), dtype=np.int64, count=len(flat))
+    words = pa.array([w for b in flat for w in b.words], pa.string())
+    category = pa.array([b.category for b in flat], pa.string())
+    block_offs, word_offs = _offsets(n_blocks), _offsets(n_words)
+
+    step = pc.utf8_length(words).to_numpy().astype(np.int64) + 1
+    word_at = _offsets(step)
+    in_block = word_at[:-1] - np.repeat(word_at[word_offs[:-1]], n_words)
+    block_at = _offsets(segment_sum(step, word_offs) - (n_words > 0) + 1)
+    block_start = block_at[:-1] - np.repeat(block_at[block_offs[:-1]], n_blocks)
+    start = np.repeat(block_start, n_words) + in_block
+    block_idx = ranges(n_blocks)
+
+    span_struct = pa.StructArray.from_arrays(
+        [
+            pa.array(start, pa.int32()),
+            pa.array(start + step - 1, pa.int32()),
+            pa.array(np.repeat(block_idx, n_words), pa.int32()),
+            category.take(pa.array(np.repeat(np.arange(len(flat)), n_words))),
+            pa.array(ranges(n_words) + 1, pa.int32()),
+        ],
+        fields=list(SPAN_TYPE.value_type),
+    )
+    block_struct = pa.StructArray.from_arrays(
+        [category, pa.array(block_idx + 1, pa.int32()), pa.array(n_words, pa.int32())],
+        fields=list(BLOCK_TYPE.value_type),
+    )
+    turn_blocks = pa.array(block_offs, pa.int32())
+    block_text = pc.binary_join(
+        pa.ListArray.from_arrays(pa.array(word_offs, pa.int32()), words), " "
+    )
+    text = pc.binary_join(pa.ListArray.from_arrays(turn_blocks, block_text), "\n")
+    turn_words = pa.array(word_offs[block_offs], pa.int32())  # a turn's first word
+    spans = pa.ListArray.from_arrays(turn_words, span_struct)
+    return text, spans, pa.ListArray.from_arrays(turn_blocks, block_struct)
+
+
 class TurnExtractor:
     """Actor-pool batch extractor.
 
@@ -102,73 +162,19 @@ class TurnExtractor:
         self._deskew = deskew
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch.column(self._text_column).to_pylist()
-        extracted: list[str] = []
-        kinds: list[str] = []
-        errors: list[str | None] = []
-        # flat accumulators + offsets → Arrow list<struct> built via
-        # from_arrays (no per-span python dict crosses into Arrow)
-        s_start: list[int] = []
-        s_end: list[int] = []
-        s_block: list[int] = []
-        s_cat: list[str] = []
-        s_order: list[int] = []
-        s_offsets: list[int] = [0]
-        b_cat: list[str] = []
-        b_order: list[int] = []
-        b_words: list[int] = []
-        b_offsets: list[int] = [0]
-        for text in texts:
-            res = extract_turn(
-                text if text is not None else "",
-                max_link_density=self._mld,
-                paragraph_break=self._pb,
-                html_parser=self._parser,
-                deskew=self._deskew,
-            )
-            extracted.append(res["extracted_text"])
-            kinds.append(res["payload_kind"])
-            errors.append(res["error"])
-            sp = res["spans"]
-            s_start.extend(sp["start"])
-            s_end.extend(sp["end"])
-            s_block.extend(sp["block_idx"])
-            s_cat.extend(sp["category"])
-            s_order.extend(sp["reading_order"])
-            s_offsets.append(len(s_start))
-            bl = res["blocks"]
-            b_cat.extend(bl["category"])
-            b_order.extend(bl["reading_order"])
-            b_words.extend(bl["n_words"])
-            b_offsets.append(len(b_cat))
-
-        span_struct = pa.StructArray.from_arrays(
-            [
-                pa.array(s_start, pa.int32()),
-                pa.array(s_end, pa.int32()),
-                pa.array(s_block, pa.int32()),
-                pa.array(s_cat, pa.string()),
-                pa.array(s_order, pa.int32()),
-            ],
-            fields=list(SPAN_TYPE.value_type),
+        texts = [t if t is not None else "" for t in batch.column(self._text_column).to_pylist()]
+        kinds = [classify_payload(t) for t in texts]
+        blocks, errors = extract_blocks(
+            texts, kinds, self._mld, self._pb, html_parser=self._parser, deskew=self._deskew
         )
-        spans_arr = pa.ListArray.from_arrays(pa.array(s_offsets, pa.int32()), span_struct)
-        block_struct = pa.StructArray.from_arrays(
-            [
-                pa.array(b_cat, pa.string()),
-                pa.array(b_order, pa.int32()),
-                pa.array(b_words, pa.int32()),
-            ],
-            fields=list(BLOCK_TYPE.value_type),
-        )
-        blocks_arr = pa.ListArray.from_arrays(pa.array(b_offsets, pa.int32()), block_struct)
+        extracted, spans, block_lists = assemble_batch(blocks)
 
         out = batch
         if not self._keep_payload:
             out = out.drop_columns([self._text_column])  # payload never crosses the stage
-        out = out.append_column("extracted_text", pa.array(extracted, pa.string()))
-        out = out.append_column("spans", spans_arr)
-        out = out.append_column("blocks", blocks_arr)
+        out = out.append_column("extracted_text", extracted)
+        out = out.append_column("spans", spans)
+        out = out.append_column("blocks", block_lists)
         out = out.append_column("payload_kind", pa.array(kinds, pa.string()))
         out = out.append_column("error", pa.array(errors, pa.string()))
         return out

@@ -57,7 +57,7 @@ def line_detector(
             "box": box,
             "score": 1.0,
         }
-        for box, _members in lines
+        for box, _members, _order in lines
     ]
 
 

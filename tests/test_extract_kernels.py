@@ -250,3 +250,277 @@ def test_split_tokens_trailing_whitespace_arrow_bug_regression():
         trimmed = pc.utf8_trim_whitespace(col).to_pylist()
         for t, tr in zip(texts, trimmed):
             assert tr == t.strip(), (repr(t), repr(tr))
+
+
+def _stage_rows(out) -> list[dict]:
+    """TurnExtractor output rows in ``extract_turn``'s dict shape."""
+
+    def columns(structs: list[dict], names: list[str]) -> dict:
+        return {n: [s[n] for s in structs] for n in names}
+
+    span_names = ["start", "end", "block_idx", "category", "reading_order"]
+    block_names = ["category", "reading_order", "n_words"]
+    return [
+        {
+            "extracted_text": text,
+            "spans": columns(spans, span_names),
+            "blocks": columns(blocks, block_names),
+            "payload_kind": kind,
+            "error": error,
+        }
+        for text, spans, blocks, kind, error in zip(
+            *(out[c].to_pylist() for c in ("extracted_text", "spans", "blocks", "payload_kind", "error"))
+        )
+    ]
+
+
+def _assert_stage_matches_oracle(batch, text_column="text", **kwargs):
+    import pyarrow as pa
+
+    from deepdoctection_ray.stages.extract import SPAN_TYPE, BLOCK_TYPE, TurnExtractor
+
+    out = TurnExtractor(text_column=text_column, **kwargs)(batch)
+    assert out.schema.field("spans").type == SPAN_TYPE
+    assert out.schema.field("blocks").type == BLOCK_TYPE
+    assert out.schema.field("extracted_text").type == pa.string()
+    assert (text_column in out.column_names) == bool(kwargs.get("keep_payload"))
+    texts = batch[text_column].to_pylist()
+    want = [
+        extract_turn(t if t is not None else "", deskew=kwargs.get("deskew", False)) for t in texts
+    ]
+    got = _stage_rows(out)
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g == w, (i, texts[i][:200] if texts[i] else texts[i])
+    return out
+
+
+def _rotated(payload: str, rotation: int) -> str:
+    doc = json.loads(payload)
+    doc.setdefault("page", {})["rotation"] = rotation
+    return json.dumps(doc)
+
+
+def _mixed_texts(seed: int) -> list[str]:
+    """Scale-3 transcripts, their pdfish pages rotated 90/180/270, and layout
+    payloads, interleaved."""
+    import random
+
+    from deepdoctection_ray import synth
+
+    texts = synth.make_transcripts(12, seed=seed, scale=3)["text"].to_pylist()
+    pdf = [t for t in texts if classify_payload(t) == "pdfish"]
+    texts += [_rotated(t, r) for t, r in zip(pdf, [90, 180, 270] * len(pdf))]
+    texts += synth.make_layout_docs(20, seed=seed)["text"].to_pylist()
+    random.Random(seed).shuffle(texts)
+    return texts
+
+
+def test_turn_extractor_matches_extract_turn_per_row():
+    """The columnar batch operator equals the per-turn oracle on every row:
+    scale-3 mixed transcripts at several seeds, rotated pdfish pages and
+    layout payloads, in batches cut so that every payload kind starts one
+    batch and ends another."""
+    import pyarrow as pa
+
+    for seed in (1, 2, 5):
+        texts = _mixed_texts(seed)
+        kinds = [classify_payload(t) for t in texts]
+        assert set(kinds) == {"plain", "html", "pdfish", "layout"}
+        cuts = sorted({0, len(texts)} | {i + d for k in set(kinds) for i in [kinds.index(k)] for d in (0, 1)})
+        table = pa.table({"turn": list(range(len(texts))), "text": texts})
+        parts = [
+            _assert_stage_matches_oracle(table.slice(a, b - a)) for a, b in zip(cuts[:-1], cuts[1:])
+        ]
+        assert pa.concat_tables(parts)["turn"].to_pylist() == list(range(len(texts)))
+
+
+def test_turn_extractor_options_match_extract_turn():
+    """deskew=True, keep_payload=True and a custom text column."""
+    import pyarrow as pa
+
+    from deepdoctection_ray.synth import make_deskew_docs
+
+    texts = _mixed_texts(3)[:300] + make_deskew_docs(12, seed=3)["text"].to_pylist()
+    _assert_stage_matches_oracle(pa.table({"text": texts}), deskew=True)
+    out = _assert_stage_matches_oracle(pa.table({"payload": texts}), text_column="payload", keep_payload=True)
+    assert out["payload"].to_pylist() == texts
+
+
+def test_turn_extractor_edge_batches():
+    """0 rows; only None/"" texts; only dead letters; multi-code-point words
+    (emoji, CJK, combining marks, zero-width space): offsets count code
+    points, exactly as ``assemble_turn`` does."""
+    import pyarrow as pa
+
+    out = _assert_stage_matches_oracle(pa.table({"text": pa.array([], pa.string())}))
+    assert out.num_rows == 0
+    out = _assert_stage_matches_oracle(pa.table({"text": pa.array([None, "", None, "  \n"], pa.string())}))
+    assert out["extracted_text"].to_pylist() == [""] * 4
+    dead = '{"words": [{"text": "a"}]}'
+    out = _assert_stage_matches_oracle(pa.table({"text": [dead] * 3}))
+    assert out["error"].null_count == 0 and out["extracted_text"].to_pylist() == [""] * 3
+    words = ["🙂", "日本語", "é", "​", "a\U0001f3fdb", "ﬁ"]
+    page = {"page": {"width": 600, "height": 800}, "words": [
+        {"text": w, "x0": 10 + 40 * i, "top": 10 + 30 * (i % 2), "x1": 40 + 40 * i, "bottom": 25 + 30 * (i % 2)}
+        for i, w in enumerate(words)
+    ]}
+    texts = [
+        " ".join(words),
+        "<p>" + " ".join(words) + "</p><h1>日本 🙂</h1>",
+        json.dumps(page),
+        dead,
+        None,
+        "​ x 　 y",
+    ]
+    out = _assert_stage_matches_oracle(pa.table({"text": texts}))
+    for text, spans in zip(out["extracted_text"].to_pylist(), out["spans"].to_pylist()):
+        assert [text[s["start"] : s["end"]] for s in spans] == text.replace("\n", " ").split(" ") if text else not spans
+
+
+def test_assemble_batch_matches_assemble_turn():
+    """Blocks without words (no kernel emits one, the assembly still counts
+    their "\\n"), turns without blocks, and multi-code-point words."""
+    from deepdoctection_ray.stages.extract import assemble_batch
+
+    turns = [
+        [],
+        [Block("text", [])],
+        [Block("title", ["a", "日本"]), Block("text", []), Block("text", []), Block("list", ["🙂", "éx"])],
+        [],
+        [Block("text", []), Block("cell", ["​"])],
+        [Block("line", ["x"])],
+    ]
+    text, spans, blocks = assemble_batch(turns)
+    names = ["start", "end", "block_idx", "category", "reading_order"]
+    for blocks_in, t, sp, bl in zip(turns, text.to_pylist(), spans.to_pylist(), blocks.to_pylist()):
+        want_text, want_spans = assemble_turn(blocks_in)
+        assert t == want_text
+        assert {n: [s[n] for s in sp] for n in names} == want_spans
+        assert bl == [
+            {"category": b.category, "reading_order": i + 1, "n_words": len(b.words)}
+            for i, b in enumerate(blocks_in)
+        ]
+
+
+def test_tokenize_fast_path_matches_definition():
+    """``tokenize_plain``/``clean_token`` skip the substitution when a text
+    has no control character; both equal the per-token definition over
+    letters, whitespace-like controls, NBSP, ideographic space, zero-width
+    space and the whole control class (hypothesis)."""
+    from hypothesis import given, settings, strategies as st
+
+    from deepdoctection_ray.kernels.normalize import _CONTROL, clean_token, tokenize_plain
+
+    controls = [chr(c) for c in range(0x80) if _CONTROL.match(chr(c))]
+    alphabet = list("ab é日") + controls + ["\x1c", "\x1f", "\x85", "\xa0", "　", "​", " ", "\t", "\n"]
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.text(alphabet=alphabet, max_size=30))
+    def check(text):
+        assert tokenize_plain(text) == [t for t in (_CONTROL.sub("", t) for t in text.split()) if t]
+        assert clean_token(text) == _CONTROL.sub("", text)
+
+    check()
+
+
+def test_text_lines_hand_back_in_line_order():
+    """The in-line order ``make_text_lines`` hands back equals a fresh
+    ``group_words_into_lines`` over each line's members, on random pages of
+    jittered word rows with column gaps (hypothesis), in relative and
+    absolute mode, with and without sub-lines."""
+    import numpy as np
+    from hypothesis import given, settings, strategies as st
+
+    from deepdoctection_ray.kernels import boxes as B
+    from deepdoctection_ray.kernels.reading_order import group_words_into_lines, rel_centers
+    from deepdoctection_ray.kernels.textlines import make_text_lines
+
+    word = st.tuples(
+        st.integers(0, 5),  # row
+        st.floats(0, 560),  # x0
+        st.floats(4, 60),  # width
+        st.floats(-6, 6),  # vertical jitter
+        st.floats(6, 20),  # height
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(word, min_size=1, max_size=40), st.booleans())
+    def check(words, sub_lines):
+        page = np.array([[x, 40 + 30 * r + j, x + w, 40 + 30 * r + j + h] for r, x, w, j, h in words])
+        rel = B.to_relative(B.snap_abs(page), 600.0, 800.0).tolist()
+        centers = rel_centers(rel)
+        runs = [
+            (rel, dict(absolute=False, centers=centers), (1.0, 1.0)),
+            (B.snap_abs(page), dict(absolute=True), (600.0, 800.0)),
+        ]
+        for boxes, mode, (width, height) in runs:
+            lines = make_text_lines(boxes, width, height, sub_lines, 0.035, **mode)
+            assert lines
+            for _, members, in_line in lines:
+                sub = dict(mode)
+                if "centers" in sub:
+                    sub["centers"] = [centers[m] for m in members]
+                fresh = group_words_into_lines([list(boxes[m]) for m in members], **sub)
+                assert in_line == [members[t[2]] for t in fresh]
+
+    check()
+
+
+def test_pdfish_batch_dead_letters_pinned():
+    """Malformed pdfish pages dead-letter (or not) exactly as the per-word
+    decoder always did, now that filtering and geometry run batch-wide: a
+    NaN coordinate survives the bounds filter and fails the fixed-point
+    centers; a word without text fails only when it is inside the page; a
+    non-right rotation fails only when a word survives the filter."""
+    import pyarrow as pa
+
+    def page(words, **extra):
+        return json.dumps({"page": {"width": 100, "height": 100, **extra}, "words": words})
+
+    def word(text=None, x0=10.0, top=10.0):
+        w = {"x0": x0, "top": top, "x1": x0 + 5, "bottom": top + 5}
+        if text is not None:
+            w["text"] = text
+        return w
+
+    cases = [
+        (page([word("a"), word("nan", x0=float("nan"))]), "", "ValueError: cannot convert float NaN to integer"),
+        (page([word("a"), word(None)]), "", "KeyError: 'text'"),
+        (page([word("a"), word(None, x0=500.0)]), "a", None),
+        (page([word("a", top=150.0), word("b")]), "b", None),
+        (page([word("a")], rotation=45), "", "ValueError: only right angles supported, got 45"),
+        (page([word("a", x0=500.0)], rotation=45), "", None),
+        (page([word("\x00"), word("b\x01c", x0=30.0)]), "bc", None),
+    ]
+    out = _assert_stage_matches_oracle(pa.table({"text": [c[0] for c in cases]}))
+    assert out["extracted_text"].to_pylist() == [c[1] for c in cases]
+    assert out["error"].to_pylist() == [c[2] for c in cases]
+    assert out["payload_kind"].to_pylist() == ["pdfish"] * len(cases)
+
+
+def test_rel_center_arrays_match_rel_centers():
+    """The batch fixed-point centers equal the per-word Python ``round``
+    definition bit for bit, on relative boxes snapped to the 1e-8 grid and
+    on raw floats at half-grid ties (hypothesis)."""
+    import numpy as np
+    from hypothesis import given, settings, strategies as st
+
+    from deepdoctection_ray.kernels import boxes as B
+    from deepdoctection_ray.kernels.reading_order import rel_center_arrays, rel_centers
+
+    coord = st.one_of(
+        st.floats(0, 1),
+        st.integers(0, 2 * 10**8).map(lambda k: k / 2e8),  # exact half-grid ties
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(coord, coord, coord, coord), max_size=20), st.booleans())
+    def check(raw, snap):
+        rel = np.array(raw, dtype=np.float64).reshape(-1, 4)
+        if snap:
+            rel = B.snap_rel(rel)
+        cx, cy = rel_center_arrays(rel)
+        assert list(zip(cx.tolist(), cy.tolist())) == rel_centers(rel.tolist())
+
+    check()

@@ -80,8 +80,8 @@ def test_two_column_page_order():
 def test_make_text_lines_single_row():
     lines = make_text_lines(TITLE_WORDS, PAGE_W, PAGE_H)
     assert len(lines) == 1
-    box, members = lines[0]
-    assert members == [0, 1]
+    box, members, in_line = lines[0]
+    assert members == in_line == [0, 1]
     assert box.tolist() == [110.0, 162.0, 180.0, 180.0]  # merged box
 
 
@@ -90,7 +90,7 @@ def test_make_text_lines_paragraph_break_splits_columns():
     words = np.array([[50.0, 100.0, 100.0, 115.0], [300.0, 100.0, 350.0, 115.0]])
     lines = make_text_lines(words, PAGE_W, PAGE_H)
     assert len(lines) == 2
-    assert [m for _, m in lines] == [[0], [1]]
+    assert [m for _, m, _ in lines] == [[0], [1]]
 
 
 def test_make_text_lines_small_gap_keeps_line():

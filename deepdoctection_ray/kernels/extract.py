@@ -5,13 +5,16 @@ miner-vs-OCR arbitration (``pipe/text.py:176-209``,
 ``analyzer/factory.py:1766-1776``): each turn's payload self-identifies as
 
 - ``pdfish`` — a JSON object with a ``words`` list (pdfplumber word dicts);
+- ``layout`` — the same with detected ``blocks``;
 - ``html``  — markup containing at least one tag;
 - ``plain`` — anything else.
 
 and is routed to the matching kernel, which returns the turn's ordered
-blocks; pdfish turns go through their kernel as one batch. Errors never
-propagate: a poison row yields no blocks plus an ``error`` string (the
-``MappingContextManager`` dead-letter pattern, ``mapper/maputils.py:41-130``).
+blocks. ``pdfish`` and ``layout`` turns go through the one page kernel as
+one batch, and a page that decodes takes its kind from its keys, not from
+the sniff. Errors never propagate: a poison row yields no blocks plus an
+``error`` string (the ``MappingContextManager`` dead-letter pattern,
+``mapper/maputils.py:41-130``).
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import re
 
 from .assemble import Block, assemble_turn
 from .html_blocks import DEFAULT_MAX_LINK_DENSITY, _BlockCollector, parse_html_blocks
-from .layout_doc import extract_layout
 from .normalize import tokenize_plain
 from .pdf_layout import pdfish_blocks
 from .reading_order import PARAGRAPH_BREAK
@@ -30,7 +32,9 @@ _PDFISH_RE = re.compile(r'^\s*\{')
 
 
 def classify_payload(text: str) -> str:
-    """Cheap payload-kind sniffing; deterministic and order-independent."""
+    """Cheap payload-kind sniffing; deterministic and order-independent.
+    Between ``pdfish`` and ``layout`` it only routes: the page kernel reads
+    the kind of a page that decodes from its keys."""
     if not text:
         return "plain"
     if _PDFISH_RE.match(text):
@@ -55,32 +59,34 @@ def extract_blocks(
     paragraph_break: float = PARAGRAPH_BREAK,
     html_parser: _BlockCollector | None = None,
     deskew: bool = False,
-) -> tuple[list[list[Block]], list[str | None]]:
-    """Each turn's ordered blocks and dead-letter error (``None`` when it
-    extracted), routed by its payload kind."""
+) -> tuple[list[list[Block]], list[str], list[str | None]]:
+    """Each turn's ordered blocks, payload kind and dead-letter error
+    (``None`` when it extracted), routed by its sniffed payload kind."""
     blocks: list[list[Block]] = [[] for _ in texts]
+    kinds = list(kinds)
     errors: list[str | None] = [None] * len(texts)
-    pdf_rows: list[int] = []
+    page_rows: list[int] = []
     for row, (text, kind) in enumerate(zip(texts, kinds)):
         try:
-            if kind == "pdfish":
-                pdf_rows.append(row)
+            if kind in ("pdfish", "layout"):
+                page_rows.append(row)
             elif kind == "html":
                 blocks[row] = parse_html_blocks(text, max_link_density, parser=html_parser)
-            elif kind == "layout":
-                blocks[row] = extract_layout(text, paragraph_break=paragraph_break)
             else:
                 tokens = tokenize_plain(text)
                 if tokens:
                     blocks[row] = [Block(category="text", words=tokens)]
         except Exception as exc:  # dead-letter, never fail the batch
             errors[row] = _dead_letter(exc)
-    pdf_blocks, pdf_errors = pdfish_blocks([texts[r] for r in pdf_rows], paragraph_break, deskew)
-    for row, turn_blocks, exc in zip(pdf_rows, pdf_blocks, pdf_errors):
+    page_blocks, page_kinds, page_errors = pdfish_blocks(
+        [texts[r] for r in page_rows], paragraph_break, deskew
+    )
+    for row, turn_blocks, kind, exc in zip(page_rows, page_blocks, page_kinds, page_errors):
         blocks[row] = turn_blocks
+        kinds[row] = kind or kinds[row]
         if exc is not None:
             errors[row] = _dead_letter(exc)
-    return blocks, errors
+    return blocks, kinds, errors
 
 
 def extract_turn(
@@ -97,9 +103,9 @@ def extract_turn(
     (FIXTURES.md F1): the same kernels as the batch stage, then
     ``assemble_turn`` per turn where the stage assembles a whole batch.
     """
-    k = kind or classify_payload(text)
-    [blocks], [error] = extract_blocks(
-        [text], [k], max_link_density, paragraph_break, html_parser, deskew
+    [blocks], [k], [error] = extract_blocks(
+        [text], [kind or classify_payload(text)], max_link_density, paragraph_break, html_parser,
+        deskew,
     )
     extracted, spans = assemble_turn(blocks)
     return {

@@ -1,30 +1,44 @@
-"""PDF text-layer payload → ordered text blocks.
+"""Page payload → ordered text blocks: the one page kernel.
 
-A ``pdfish`` transcript payload is the JSON shape a pdfplumber-style miner
-emits (reference ``extern/pdftext.py:41-47``):
+A page payload is the JSON shape a pdfplumber-style miner emits
+(reference ``extern/pdftext.py:41-47``), optionally with layout-detector
+output — the shape a page has after deepdoctection's detector + OCR ran:
 
-    {"page": {"width": W, "height": H},
-     "words": [{"text": str, "x0": f, "top": f, "x1": f, "bottom": f}, ...]}
+    {"page": {"width": W, "height": H, "rotation": R},
+     "blocks": [{"category": "title|text|list|table|figure|...",
+                 "score": f, "x0": f, "top": f, "x1": f, "bottom": f}, ...],
+     "words":  [{"text": str, "x0": f, "top": f, "x1": f, "bottom": f}, ...]}
 
-The kernel replays the flagship pipeline's miner-only configuration
-(``analyzer/factory.py:1766-1776`` — no layout detector, so every word is a
-residual text container):
+A page with a ``"blocks"`` key is a ``layout`` page, one without is a
+``pdfish`` page. Both replay the flagship component chain
+(``analyzer/factory.py:1708-1807``); the miner-only configuration
+(``analyzer/factory.py:1766-1776``) is the same chain with the detector off,
+so a pdfish page is a layout page with no detected blocks:
 
 1. out-of-page-bounds words are skipped (``pipe/text.py:132-137``: any
    coordinate ≥ page width/height drops the word);
 2. boxes snap to ints with the reference's half-up/half-down construction
    rounding (``box.py:268-276``);
-3. synthetic LINEs are built with sub-line splitting at ``paragraph_break``
-   (``TextLineGenerator``, ``order.py:389-524``);
-4. lines act as floating text blocks and get a reading order via
-   ``order_blocks`` (``order.py:201-330``);
-5. words are ordered within each line via ``group_words_into_lines``
-   (``order.py:72-132``) — the order ``make_text_lines`` already computed.
+3. per-category NMS over detected blocks (``AnnotationNmsService``,
+   ``pipe/common.py:459-538`` / ``mapper/nms.py:64-127``);
+4. word→block assignment by ioa ≥ 0.3, arg-max parent only
+   (``MatchingService``, ``conf_dd_one.yaml:183-187``);
+5. unassigned words become synthetic LINEs with sub-line splitting at
+   ``paragraph_break`` (``TextLineGenerator``, ``order.py:389-524``;
+   ``TextOrderService`` residual handling, ``pipe/order.py:738-748``);
+6. reading order over the FLOATING blocks only — text/title/list/
+   key_value_area + synthetic lines (``IMAGE_DEFAULTS``, ``view.py:963-971``)
+   via ``order_blocks`` (``order.py:201-330``); table/figure/cell blocks take
+   their words but are not narrative, exactly like ``Page.text``
+   (``view.py:1318-1329``);
+7. words ordered within each block by ``group_words_into_lines``
+   (``order.py:72-132``); a line's order is the one ``make_text_lines``
+   already computed.
 
-JSON is decoded per turn; the bounds filter, snapping, the relative
+JSON is decoded per page; the bounds filter, snapping, the relative
 transform and the fixed-point centers run once over the flat words of a
-whole batch (elementwise IEEE operations, so bit-identical to a per-turn
-run); line building and block ordering stay per turn.
+whole batch (elementwise IEEE operations, so bit-identical to a per-page
+run); NMS, rotation, matching, line building and block ordering stay per page.
 """
 
 from __future__ import annotations
@@ -37,23 +51,56 @@ import numpy as np
 
 from . import boxes as B
 from .assemble import Block
+from .matching import match_by_ioa, nms
 from .normalize import clean_token
-from .reading_order import PARAGRAPH_BREAK, order_blocks, rel_center_arrays
+from .reading_order import PARAGRAPH_BREAK, group_words_into_lines, order_blocks, rel_center_arrays
 from .textlines import make_text_lines
 from .transforms import estimate_skew_angle, rotate_boxes, rotate_boxes_by_degrees, rotated_extent
 
 DESKEW_MIN_ANGLE = 0.5  # degrees; a smaller estimated skew is left alone
+NMS_THRESHOLD = 0.5
+# view.py:963-971 — narrative-text block categories
+FLOATING_CATEGORIES = frozenset({"text", "title", "list", "list_item", "key_value_area"})
+# view.py:972-988 — categories that hold words but are not narrative
+TEXT_BLOCK_CATEGORIES = FLOATING_CATEGORIES | frozenset(
+    {"caption", "page_header", "page_footer", "page_number", "mark", "figure", "cell", "table"}
+)
+
+Detected = tuple[list[str], np.ndarray]  # a page's surviving block categories and boxes
+NO_BLOCKS: Detected = ([], np.empty((0, 4)))
 
 
-def _decode(payload: str) -> tuple[list[str], list[float], float, float, int]:
+def _detected(raw_blocks: list[dict], nms_threshold: float) -> Detected:
+    """Detected blocks → the categories and snapped boxes that survive NMS
+    within their category (``conf_dd_one.yaml:9-56`` pairs same-category
+    detectors; the priority mechanism is unused when one detector runs)."""
+    if not raw_blocks:
+        return NO_BLOCKS
+    categories = [str(b.get("category", "text")) for b in raw_blocks]
+    scores = np.array([float(b.get("score", 1.0)) for b in raw_blocks])
+    boxes = B.snap_abs(
+        np.array([[b["x0"], b["top"], b["x1"], b["bottom"]] for b in raw_blocks], dtype=np.float64)
+    )
+    keep = np.zeros(len(raw_blocks), dtype=bool)
+    for cat in set(categories):
+        idx = np.array([i for i, c in enumerate(categories) if c == cat], dtype=np.int64)
+        keep[idx[nms(boxes[idx], scores[idx], nms_threshold)]] = True
+    return list(compress(categories, keep)), boxes[keep]
+
+
+def _decode(
+    payload: str, nms_threshold: float
+) -> tuple[list[str], list[float], float, float, int, Detected | None]:
     """JSON → (cleaned tokens, flat ``x0, top, x1, bottom`` coords, width,
-    height, rotation) of every word with a non-empty token; the bounds
-    filter runs batch-wide."""
+    height, rotation) of every word with a non-empty token, plus the page's
+    detected blocks (``None`` without a ``"blocks"`` key); the bounds filter
+    runs batch-wide."""
     doc = json.loads(payload)
     page = doc.get("page") or {}
     width = float(page.get("width", 612.0))
     height = float(page.get("height", 792.0))
     rotation = int(page.get("rotation", 0))
+    detected = _detected(doc.get("blocks") or [], nms_threshold) if "blocks" in doc else None
     tokens: list[str] = []
     coords: list[float] = []
     for w in doc.get("words") or []:
@@ -67,40 +114,67 @@ def _decode(payload: str) -> tuple[list[str], list[float], float, float, int]:
         if token:
             tokens.append(token)
             coords += (x0, top, x1, bottom)
-    return tokens, coords, width, height, rotation
+    return tokens, coords, width, height, rotation, detected
 
 
 def _reframe(
-    boxes: np.ndarray, width: float, height: float, rotation: int, deskew: bool
-) -> tuple[np.ndarray, float, float]:
-    """One page's right-angle rotation, then its opt-in skew correction."""
+    words: np.ndarray, blocks: np.ndarray, width: float, height: float, rotation: int, deskew: bool
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """One page's right-angle rotation of its words and detected blocks, then
+    the opt-in skew correction of its words."""
     if rotation % 360:
-        boxes = rotate_boxes(boxes, rotation, width, height)
+        words, blocks = (
+            rotate_boxes(b, rotation, width, height) if b.shape[0] else b for b in (words, blocks)
+        )
         width, height = rotated_extent(rotation, width, height)
-    if deskew and boxes.shape[0] >= 3:
-        angle = estimate_skew_angle(boxes)
+    if deskew and words.shape[0] >= 3:
+        angle = estimate_skew_angle(words)
         if abs(angle) >= DESKEW_MIN_ANGLE:
-            boxes = rotate_boxes_by_degrees(boxes, angle, width, height)
-    return boxes, width, height
+            words = rotate_boxes_by_degrees(words, angle, width, height)
+    return words, blocks, width, height
 
 
-def blocks_from_words(
+def _layout_blocks(
     texts: list[str],
+    boxes: np.ndarray,
     rel: list[list[float]],
     centers: list[tuple[float, float]],
+    detected: Detected,
+    width: float,
+    height: float,
     paragraph_break: float = PARAGRAPH_BREAK,
 ) -> list[Block]:
-    """One page's words (RELATIVE boxes and their fixed-point centers) →
-    reading-ordered line blocks (steps 3–5 above)."""
-    lines = make_text_lines(rel, 1.0, 1.0, True, paragraph_break, absolute=False, centers=centers)
-    line_order = order_blocks(np.stack([box for box, _, _ in lines]))
+    """One page's words (absolute boxes, RELATIVE boxes and their fixed-point
+    centers) and surviving detected blocks → reading-ordered blocks (steps
+    4–7 above)."""
+    categories, block_boxes = detected
+    text_ids = [i for i, c in enumerate(categories) if c in TEXT_BLOCK_CATEGORIES]
+    floats: list[tuple[str, np.ndarray, list[str]]] = []  # (category, rel box, ordered words)
+    residual = range(len(texts))
+    if text_ids:
+        children: dict[int, list[int]] = {i: [] for i in text_ids}
+        c_idx, p_idx = match_by_ioa(block_boxes[text_ids], boxes)
+        for c, p in zip(c_idx.tolist(), p_idx.tolist()):
+            children[text_ids[p]].append(c)
+        residual = np.setdiff1d(residual, c_idx).tolist()
+        float_ids = [i for i in text_ids if categories[i] in FLOATING_CATEGORIES]
+        for i, box in zip(float_ids, B.to_relative(block_boxes[float_ids], width, height)):
+            members = children[i]
+            order = group_words_into_lines(
+                [rel[m] for m in members], absolute=False, centers=[centers[m] for m in members]
+            )
+            floats.append((categories[i], box, [texts[members[t[2]]] for t in order]))
+    lines = make_text_lines(
+        [rel[r] for r in residual], 1.0, 1.0, True, paragraph_break,
+        absolute=False, centers=[centers[r] for r in residual],
+    )
+    floats += [("line", box, [texts[residual[m]] for m in in_line]) for box, _, in_line in lines]
+    if not floats:
+        return []
     return [
-        Block(
-            category="line",
-            words=[texts[m] for m in lines[li][2]],
-            bbox=tuple(lines[li][0].tolist()),
-        )
-        for li in line_order
+        Block(category=category, words=words, bbox=tuple(box.tolist()))
+        for category, box, words in (floats[i] for i in order_blocks(np.stack([f[1] for f in floats])))
+        if words  # a block with no words contributes nothing to the text
     ]
 
 
@@ -108,9 +182,12 @@ def pdfish_blocks(
     payloads: list[str],
     paragraph_break: float = PARAGRAPH_BREAK,
     deskew: bool = False,
-) -> tuple[list[list[Block]], list[Exception | None]]:
-    """Full pdfish path for a batch: JSON → filtered words → (rotation) →
-    ordered blocks, plus the exception that dead-lettered each turn.
+    nms_threshold: float = NMS_THRESHOLD,
+) -> tuple[list[list[Block]], list[str | None], list[Exception | None]]:
+    """Full page path for a batch: JSON → filtered words (and NMS-surviving
+    blocks) → (rotation) → ordered blocks, plus each page's kind from its
+    decoded keys (``layout`` with a ``"blocks"`` key, else ``pdfish``;
+    ``None`` when it did not decode) and the exception that dead-lettered it.
 
     A ``page.rotation`` of 90/180/270 marks content that must be rotated CCW
     by that angle to restore reading orientation — the
@@ -118,34 +195,39 @@ def pdfish_blocks(
     rotation is applied to the coordinates before any ordering runs.
 
     ``deskew`` is the OPT-IN variant (``USE_DESKEW`` in the analyzer
-    config): after the right-angle rotation, the residual small-angle skew
-    is ESTIMATED from the word geometry (projection profile + per-line
-    regression, ``transforms.estimate_skew_angle``) and applied before any
-    ordering runs — the angle estimation the reference delegates to its
-    deskew predictor (``extern/deskew.py:37``). It is off by default because
-    the default pipeline is pinned bit-exact against the reference, which
-    does not deskew unless configured.
+    config) for pages without a ``"blocks"`` key: after the right-angle
+    rotation, the residual small-angle skew is ESTIMATED from the word
+    geometry (projection profile + per-line regression,
+    ``transforms.estimate_skew_angle``) and applied before any ordering runs
+    — the angle estimation the reference delegates to its deskew predictor
+    (``extern/deskew.py:37``). It is off by default because the default
+    pipeline is pinned bit-exact against the reference, which does not
+    deskew unless configured.
     """
     blocks: list[list[Block]] = [[] for _ in payloads]
+    kinds: list[str | None] = [None] * len(payloads)
     errors: list[Exception | None] = [None] * len(payloads)
     rows: list[int] = []
     pages: list[tuple[float, float, int]] = []
+    detections: list[Detected] = []
     counts: list[int] = []
     tokens: list[str] = []
     coords: list[float] = []
     for row, payload in enumerate(payloads):
         try:
-            toks, xy, width, height, rotation = _decode(payload)
+            toks, xy, width, height, rotation, detected = _decode(payload, nms_threshold)
         except Exception as exc:
             errors[row] = exc
             continue
+        kinds[row] = "pdfish" if detected is None else "layout"
         rows.append(row)
         pages.append((width, height, rotation))
+        detections.append(detected or NO_BLOCKS)
         counts.append(len(toks))
         tokens += toks
         coords += xy
     if not rows:
-        return blocks, errors
+        return blocks, kinds, errors
 
     boxes = np.array(coords, dtype=np.float64).reshape(-1, 4)
     extent = np.repeat(np.array(pages, dtype=np.float64)[:, [0, 1, 0, 1]], counts, axis=0)
@@ -157,18 +239,25 @@ def pdfish_blocks(
     tokens = list(compress(tokens, keep))
     offs = offs.tolist()
 
-    for t, (row, (page_w, page_h, rotation)) in enumerate(zip(rows, pages)):
+    for t, (row, (page_w, page_h, rotation), (categories, block_boxes)) in enumerate(
+        zip(rows, pages, detections)
+    ):
         s, e = offs[t], offs[t + 1]
-        if e > s and (rotation % 360 or deskew):
+        skew = deskew and kinds[row] == "pdfish"  # never a page with a "blocks" key
+        if (e > s or categories) and (rotation % 360 or skew):
             try:
-                boxes[s:e], width, height = _reframe(boxes[s:e], page_w, page_h, rotation, deskew)
+                boxes[s:e], block_boxes, width, height = _reframe(
+                    boxes[s:e], block_boxes, page_w, page_h, rotation, skew
+                )
                 extent[s:e] = (width, height, width, height)
+                pages[t] = (width, height, rotation)
+                detections[t] = (categories, block_boxes)
             except Exception as exc:
                 errors[row] = exc
 
-    # ordering runs on RELATIVE coords: after image_ann_to_image every word's
-    # base-frame embedding is relative (image.py:843-844), so the real
-    # pipeline's line grouping sees unrounded relative floats
+    # ordering runs on RELATIVE coords: after image_ann_to_image every
+    # embedding is relative (image.py:843-844), so the real pipeline's
+    # ordering sees unrounded relative floats
     rel = B.to_relative(boxes, extent[:, 0], extent[:, 1])
     cx, cy = rel_center_arrays(rel)
     nan_turns = set()
@@ -178,23 +267,31 @@ def pdfish_blocks(
     centers = list(zip(cx.tolist(), cy.tolist()))
     for t, row in enumerate(rows):
         s, e = offs[t], offs[t + 1]
-        if e == s or errors[row] is not None:
+        if errors[row] is not None or (e == s and not detections[t][0]):
             continue
         if t in nan_turns:
             errors[row] = ValueError("cannot convert float NaN to integer")
             continue
         try:
-            blocks[row] = blocks_from_words(
-                tokens[s:e], rel_list[s:e], centers[s:e], paragraph_break
+            blocks[row] = _layout_blocks(
+                tokens[s:e], boxes[s:e], rel_list[s:e], centers[s:e],
+                detections[t], *pages[t][:2], paragraph_break,
             )
         except Exception as exc:
             errors[row] = exc
-    return blocks, errors
+    return blocks, kinds, errors
 
 
-def extract_pdfish(payload: str, paragraph_break: float = PARAGRAPH_BREAK) -> list[Block]:
+def extract_layout(
+    payload: str, nms_threshold: float = NMS_THRESHOLD, paragraph_break: float = PARAGRAPH_BREAK
+) -> list[Block]:
     """:func:`pdfish_blocks` for one payload; raises its dead-letter error."""
-    [blocks], [error] = pdfish_blocks([payload], paragraph_break)
+    [blocks], _, [error] = pdfish_blocks([payload], paragraph_break, nms_threshold=nms_threshold)
     if error is not None:
         raise error
     return blocks
+
+
+def extract_pdfish(payload: str, paragraph_break: float = PARAGRAPH_BREAK) -> list[Block]:
+    """:func:`extract_layout` with the default NMS threshold."""
+    return extract_layout(payload, paragraph_break=paragraph_break)

@@ -85,25 +85,21 @@ def group_words_into_lines(
     # plain-python floats in the hot loop: per-element numpy indexing costs
     # ~1µs/access, which dominates for the typical 5-50-word turn
     boxes = word_boxes.tolist() if hasattr(word_boxes, "tolist") else list(word_boxes)
+    # the exact float expressions matter at strict-comparison boundaries
+    # (1-ulp differences flip row tests): relative centers come from the
+    # INTEGER fixed-point registers (rel_centers, or the caller's)
+    if centers is None and not absolute:
+        centers = rel_centers(boxes)
     assigned: list[tuple[int, int, float]] = []  # (row_idx, word_idx, cx)
     rows: list[tuple[float, float]] = []  # (upper, lower), frozen at creation
     floor = math.floor
-    scale = float(B.REL_SCALE)
     for i in range(n):
         ulx, uly, lrx, lry = boxes[i]
-        # the exact float expressions matter at strict-comparison boundaries
-        # (1-ulp differences flip row tests): BoundingBox computes
-        # cx = ulx + 0.5*width where width = (_lrx-_ulx)/1e8 comes from the
-        # INTEGER fixed-point registers (box.py:385-434); reconstruct that
-        # (or take the caller's pre-computed centers)
         if centers is not None:
             cx, cy = centers[i]
-        elif absolute:
+        else:
             cx = ulx + 0.5 * (lrx - ulx)  # ints in float: exact
             cy = uly + 0.5 * (lry - uly)
-        else:
-            cx = ulx + 0.5 * ((round(lrx * scale) - round(ulx * scale)) / scale)
-            cy = uly + 0.5 * ((round(lry * scale) - round(uly * scale)) / scale)
         if absolute:
             # BoundingBox.cx/.cy round half-up to ints for absolute coords
             # (box.py:423-434); the row-membership comparisons see the
@@ -224,10 +220,8 @@ def order_blocks(
         return []
     rel = block_boxes_rel.tolist()  # python floats: fast scalar access
     scale = float(B.REL_SCALE)
-    # BoundingBox.cx/.cy with width/height from integer fixed-point registers
-    cx = [b[0] + 0.5 * ((round(b[2] * scale) - round(b[0] * scale)) / scale) for b in rel]
-    cy = [b[1] + 0.5 * ((round(b[3] * scale) - round(b[1] * scale)) / scale) for b in rel]
-    scan = sorted(range(n), key=lambda i: (cy[i], cx[i]))  # order.py:231-236
+    centers = rel_centers(rel)
+    scan = sorted(range(n), key=lambda i: (centers[i][1], centers[i][0]))  # order.py:231-236
 
     # greedy column building (order.py:237-291)
     block_to_col: list[tuple[int, int]] = []  # (column_idx, block_idx)

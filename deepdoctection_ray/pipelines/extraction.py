@@ -139,12 +139,10 @@ class _ExtractAndWritePartitions:
     each is sliced out, sorted and written atomically.
     """
 
-    def __init__(
-        self, output_dir: str, chaos_kill_once: str | None = None, **extractor_kwargs
-    ) -> None:
+    def __init__(self, output_dir: str, chaos_kill_once: str | None = None) -> None:
         self._out = output_dir
         self._chaos = chaos_kill_once
-        self._extract = TurnExtractor(keep_payload=False, **extractor_kwargs)
+        self._extract = TurnExtractor()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import time

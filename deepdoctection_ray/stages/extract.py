@@ -163,9 +163,9 @@ class TurnExtractor:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         texts = [t if t is not None else "" for t in batch.column(self._text_column).to_pylist()]
-        kinds = [classify_payload(t) for t in texts]
-        blocks, errors = extract_blocks(
-            texts, kinds, self._mld, self._pb, html_parser=self._parser, deskew=self._deskew
+        blocks, kinds, errors = extract_blocks(
+            texts, [classify_payload(t) for t in texts], self._mld, self._pb,
+            html_parser=self._parser, deskew=self._deskew,
         )
         extracted, spans, block_lists = assemble_batch(blocks)
 

@@ -30,6 +30,18 @@ def test_classify_payload():
     assert classify_payload('{"page": {"width": 600}, "words": []}') == "pdfish"
     assert classify_payload("") == "plain"
     assert classify_payload("a < b and c > d") == "plain"
+    # a skewed pdfish page holding the word "blocks" sniffs as layout; its
+    # kind, and with it the deskew gate, comes from its decoded keys
+    from deepdoctection_ray.synth import make_deskew_docs
+
+    skewed = make_deskew_docs(1, seed=3)["text"][0].as_py()
+    doc = json.loads(skewed)
+    doc["words"][0]["text"] = "blocks"
+    page = json.dumps(doc)
+    assert classify_payload(page) == "layout"
+    out = extract_turn(page, deskew=True)
+    assert out["payload_kind"] == "pdfish"
+    assert out["blocks"] == extract_turn(skewed, deskew=True)["blocks"] != extract_turn(skewed)["blocks"]
 
 
 def test_html_strips_nav_header_footer():
@@ -303,7 +315,7 @@ def _rotated(payload: str, rotation: int) -> str:
 
 def _mixed_texts(seed: int) -> list[str]:
     """Scale-3 transcripts, their pdfish pages rotated 90/180/270, and layout
-    payloads, interleaved."""
+    payloads, some rotated 90/180/270, interleaved."""
     import random
 
     from deepdoctection_ray import synth
@@ -311,7 +323,8 @@ def _mixed_texts(seed: int) -> list[str]:
     texts = synth.make_transcripts(12, seed=seed, scale=3)["text"].to_pylist()
     pdf = [t for t in texts if classify_payload(t) == "pdfish"]
     texts += [_rotated(t, r) for t, r in zip(pdf, [90, 180, 270] * len(pdf))]
-    texts += synth.make_layout_docs(20, seed=seed)["text"].to_pylist()
+    layout = synth.make_layout_docs(20, seed=seed)["text"].to_pylist()
+    texts += layout + [_rotated(t, r) for t, r in zip(layout[:12], [90, 180, 270] * 4)]
     random.Random(seed).shuffle(texts)
     return texts
 
@@ -336,13 +349,21 @@ def test_turn_extractor_matches_extract_turn_per_row():
 
 
 def test_turn_extractor_options_match_extract_turn():
-    """deskew=True, keep_payload=True and a custom text column."""
+    """deskew=True, keep_payload=True and a custom text column; deskew
+    leaves skewed pages with a "blocks" key exactly as they are without it."""
     import pyarrow as pa
 
     from deepdoctection_ray.synth import make_deskew_docs
 
-    texts = _mixed_texts(3)[:300] + make_deskew_docs(12, seed=3)["text"].to_pylist()
+    skewed = make_deskew_docs(12, seed=3)["text"].to_pylist()
+    texts = _mixed_texts(3)[:300] + skewed
     _assert_stage_matches_oracle(pa.table({"text": texts}), deskew=True)
+    skewed_layout = pa.table({"text": [json.dumps({"blocks": [], **json.loads(t)}) for t in skewed]})
+    kept = _assert_stage_matches_oracle(skewed_layout, deskew=True)
+    assert kept.equals(_assert_stage_matches_oracle(skewed_layout))
+    assert kept["payload_kind"].to_pylist() == ["layout"] * len(skewed)
+    deskewed = _assert_stage_matches_oracle(pa.table({"text": skewed}), deskew=True)
+    assert kept["extracted_text"] != deskewed["extracted_text"]
     out = _assert_stage_matches_oracle(pa.table({"payload": texts}), text_column="payload", keep_payload=True)
     assert out["payload"].to_pylist() == texts
 
@@ -468,15 +489,20 @@ def test_text_lines_hand_back_in_line_order():
 
 
 def test_pdfish_batch_dead_letters_pinned():
-    """Malformed pdfish pages dead-letter (or not) exactly as the per-word
-    decoder always did, now that filtering and geometry run batch-wide: a
-    NaN coordinate survives the bounds filter and fails the fixed-point
-    centers; a word without text fails only when it is inside the page; a
-    non-right rotation fails only when a word survives the filter."""
+    """Malformed pages dead-letter (or not) exactly as the per-word decoder
+    always did for pdfish pages, now that filtering and geometry run
+    batch-wide, and layout pages follow the same rule: a NaN coordinate
+    survives the bounds filter and fails the fixed-point centers; a word
+    without text fails only when it is inside the page; a word without
+    coordinates fails even with empty text; a non-right rotation fails only
+    when a word or a detected block survives."""
     import pyarrow as pa
 
-    def page(words, **extra):
-        return json.dumps({"page": {"width": 100, "height": 100, **extra}, "words": words})
+    def page(words, blocks=None, **extra):
+        doc = {"page": {"width": 100, "height": 100, **extra}, "words": words}
+        if blocks is not None:
+            doc["blocks"] = blocks
+        return json.dumps(doc)
 
     def word(text=None, x0=10.0, top=10.0):
         w = {"x0": x0, "top": top, "x1": x0 + 5, "bottom": top + 5}
@@ -484,19 +510,34 @@ def test_pdfish_batch_dead_letters_pinned():
             w["text"] = text
         return w
 
-    cases = [
-        (page([word("a"), word("nan", x0=float("nan"))]), "", "ValueError: cannot convert float NaN to integer"),
-        (page([word("a"), word(None)]), "", "KeyError: 'text'"),
-        (page([word("a"), word(None, x0=500.0)]), "a", None),
-        (page([word("a", top=150.0), word("b")]), "b", None),
-        (page([word("a")], rotation=45), "", "ValueError: only right angles supported, got 45"),
-        (page([word("a", x0=500.0)], rotation=45), "", None),
-        (page([word("\x00"), word("b\x01c", x0=30.0)]), "bc", None),
+    block = {"category": "text", "score": 0.9, "x0": 0, "top": 0, "x1": 60, "bottom": 60}
+    right_angles = "ValueError: only right angles supported, got 45"
+    nan = "ValueError: cannot convert float NaN to integer"
+    shared = [  # (words, page extras, text, error) on both kinds
+        ([word("a"), word("nan", x0=float("nan"))], {}, "", nan),
+        ([word("a"), word(None)], {}, "", "KeyError: 'text'"),
+        ([word("a"), {"text": ""}], {}, "", "KeyError: 'x0'"),
+        ([word("a"), {**word("s"), "x0": "abc"}], {}, "", "ValueError: could not convert string to float: 'abc'"),
+        ([word("a"), word(None, x0=500.0)], {}, "a", None),
+        ([word("a", top=150.0), word("b")], {}, "b", None),
+        ([word("a")], {"rotation": 45}, "", right_angles),
+        ([word("\x00"), word("b\x01c", x0=30.0)], {}, "bc", None),
+    ]
+    cases = [(page(w, **x), t, e, "pdfish") for w, x, t, e in shared]
+    cases += [(page(w, [block], **x), t, e, "layout") for w, x, t, e in shared]
+    no_x0 = {k: v for k, v in block.items() if k != "x0"}
+    cases += [
+        (page([word("a", x0=500.0)], rotation=45), "", None, "pdfish"),
+        (page([word("a", x0=500.0)], [], rotation=45), "", None, "layout"),
+        (page([word("a", x0=500.0)], [block], rotation=45), "", right_angles, "layout"),
+        (page([], [block], rotation=45), "", right_angles, "layout"),
+        (page([word("a")], [no_x0]), "", "KeyError: 'x0'", "layout"),
+        (page([word("a")], [{**block, "x0": float("nan")}]), "", nan, "layout"),
     ]
     out = _assert_stage_matches_oracle(pa.table({"text": [c[0] for c in cases]}))
     assert out["extracted_text"].to_pylist() == [c[1] for c in cases]
     assert out["error"].to_pylist() == [c[2] for c in cases]
-    assert out["payload_kind"].to_pylist() == ["pdfish"] * len(cases)
+    assert out["payload_kind"].to_pylist() == [c[3] for c in cases]
 
 
 def test_rel_center_arrays_match_rel_centers():

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 
 from deepdoctection_ray.kernels.extract import classify_payload, extract_turn
-from deepdoctection_ray.kernels.layout_doc import extract_layout
+from deepdoctection_ray.kernels.pdf_layout import extract_layout
 
 PAGE = {"width": 600, "height": 400}
 TITLE = {"category": "title", "score": 0.9, "x0": 100, "top": 160, "x1": 200, "bottom": 260}
@@ -31,6 +31,23 @@ def test_classify_layout_payload():
     assert classify_payload(json.dumps({"page": PAGE, "words": WORDS})) == "pdfish"
 
 
+def test_late_blocks_key_still_detected():
+    """The sniff only sees the first 2,048 chars: a page with 60 words ahead
+    of its "blocks" key sniffs as pdfish, yet its kind and its detected
+    title come from the decoded keys."""
+    words = [
+        {"text": f"w{i}", "x0": 5.0 + 9 * i, "top": 20.0, "x1": 12.0 + 9 * i, "bottom": 30.0}
+        for i in range(60)
+    ]
+    title = {"category": "title", "score": 0.9, "x0": 0, "top": 0, "x1": 599, "bottom": 100}
+    payload = json.dumps({"page": {"width": 600, "height": 800}, "words": words, "blocks": [title]})
+    assert payload.index('"blocks"') > 2048 and classify_payload(payload) == "pdfish"
+    out = extract_turn(payload)
+    assert out["payload_kind"] == "layout"
+    assert out["blocks"]["category"] == ["title"]
+    assert out["extracted_text"] == " ".join(w["text"] for w in words)
+
+
 def test_reference_fixture_order_and_text():
     blocks = extract_layout(_payload([TEXT, TITLE], WORDS))  # input order reversed
     assert [(b.category, " ".join(b.words)) for b in blocks] == [
@@ -50,11 +67,6 @@ def test_residual_word_becomes_line():
     out = extract_turn(_payload([TITLE, TEXT], WORDS + [RESIDUAL]))
     assert out["extracted_text"] == "hello world\nbye world\nresidual"
     assert out["blocks"]["reading_order"] == [1, 2, 3]
-
-
-def test_residual_excluded_when_disabled():
-    blocks = extract_layout(_payload([TITLE, TEXT], WORDS + [RESIDUAL]), include_residuals=False)
-    assert [b.category for b in blocks] == ["title", "text"]
 
 
 def test_nms_suppresses_duplicate_detection():

@@ -217,7 +217,7 @@ def _ref_page_text(ref, blocks, words, W=600.0, H=400.0):
 
 def test_full_chain_parity(ref):
     from deepdoctection_ray.kernels.assemble import assemble_turn
-    from deepdoctection_ray.kernels.layout_doc import extract_layout
+    from deepdoctection_ray.kernels.pdf_layout import extract_layout
 
     checked = 0
     for trial in range(40):

@@ -2,7 +2,7 @@
 
 Parity targets: ``dd_core/src/dd_core/mapper/cats.py`` — ``filter_cat`` (:148),
 ``re_assign_cat_ids`` (:85), ``cat_to_sub_cat`` (:32), ``remove_cats`` (:336),
-``image_to_cat_id`` (:213), ``add_summary`` (:401). Here annotations are rows
+``image_to_cat_id`` (:213). Here annotations are rows
 of ``blocks``/``spans`` list-columns, so the label ops are vectorized
 list-column rewrites inside ``map_batches``.
 """
@@ -76,33 +76,3 @@ def block_category_histogram(ds: ray.data.Dataset, column: str = "blocks") -> ra
         .groupby("category")
         .aggregate(Sum("n", alias_name="n"))
     )
-
-
-def add_turn_summary(ds: ray.data.Dataset) -> ray.data.Dataset:
-    """``add_summary`` analog: per-turn summary struct (n_blocks, n_spans,
-    n_chars of extracted text)."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        summaries = [
-            {
-                "n_blocks": len(blocks or []),
-                "n_spans": len(spans or []),
-                "n_chars": len(text or ""),
-            }
-            for blocks, spans, text in zip(
-                batch["blocks"].to_pylist(),
-                batch["spans"].to_pylist(),
-                batch["extracted_text"].to_pylist(),
-            )
-        ]
-        return batch.append_column(
-            "turn_summary",
-            pa.array(
-                summaries,
-                pa.struct([("n_blocks", pa.int32()), ("n_spans", pa.int32()), ("n_chars", pa.int32())]),
-            ),
-        )
-
-    return ds.map_batches(fn, batch_format="pyarrow")

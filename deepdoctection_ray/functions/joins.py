@@ -7,11 +7,9 @@ scale-correct shapes:
 - broadcast hash join: the small side goes to the object store ONCE
   (``ray.put``), each actor materializes the lookup dict in ``__init__`` and
   maps rows per batch — no shuffle at all;
-- semi/anti join: broadcast the key set and filter inside ``map_batches``.
-
-Both-sides-large joins go through :func:`hash_join`, the one owner of Ray
-2.49's join rules (empty blocks and empty sides); nothing else calls
-``Dataset.join``.
+- every other equi-join (inner / left / semi / anti) goes through
+  :func:`hash_join`, the one owner of Ray 2.49's join rules (empty blocks
+  and empty sides); nothing else calls ``Dataset.join``.
 """
 
 from __future__ import annotations
@@ -99,15 +97,6 @@ def drop_empty_blocks(
         sch = anchor.schema if isinstance(anchor, pa.Table) else anchor
         return ray.data.from_arrow(sch.empty_table())
     return mat
-
-
-def _bucket_of(keys, num_buckets: int):
-    """Vectorized stable bucket assignment for a key column (any dtype)."""
-    import numpy as np
-    import pandas as pd
-
-    arr = np.asarray(keys)
-    return (pd.util.hash_array(arr) % np.uint64(num_buckets)).astype(np.int64)
 
 
 def hash_join(
@@ -255,19 +244,6 @@ def asof_join(
     return bucketed_map_groups(
         both, [key_column], per_bucket, num_buckets, batch_format="pandas"
     )
-
-
-def semi_join(ds: ray.data.Dataset, keys, key_column: str, anti: bool = False) -> ray.data.Dataset:
-    """Keep (or with ``anti=True`` drop) rows whose key is in the broadcast set."""
-    key_array = pa.array(sorted(set(keys)))
-
-    def f(batch: pa.Table) -> pa.Table:
-        mask = pc.is_in(batch[key_column], value_set=key_array)
-        if anti:
-            mask = pc.invert(mask)
-        return batch.filter(mask)
-
-    return ds.map_batches(f, batch_format="pyarrow")
 
 
 def range_join(

@@ -19,7 +19,7 @@ import pandas as pd
 
 import ray.data
 
-from .joins import _bucket_of
+from .bucketed import bucketed_map_groups
 
 
 def merge_by_key(
@@ -36,7 +36,6 @@ def merge_by_key(
         def f(df: pd.DataFrame) -> pd.DataFrame:
             df = df[cols].copy()
             df["__side"] = side
-            df["__bucket"] = _bucket_of(df[keys[0]].to_numpy(), num_buckets)
             return df
 
         return f
@@ -54,4 +53,4 @@ def merge_by_key(
             return pd.DataFrame(columns=left_cols + right_only)
         return lg.merge(rg, on=keys, how="left")
 
-    return both.groupby("__bucket").map_groups(combine, batch_format="pandas")
+    return bucketed_map_groups(both, keys[:1], combine, num_buckets, batch_format="pandas")

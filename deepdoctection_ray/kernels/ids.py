@@ -17,16 +17,6 @@ def uuid_from_str(value: str) -> str:
     return str(uuid.uuid3(uuid.NAMESPACE_DNS, value))
 
 
-def uuid_from_parts(*parts: str) -> str:
-    """uuid3 of the concatenation of parts — reference ``identifier.py:80-91``."""
-    return uuid_from_str("".join(parts))
-
-
-def turn_id(conv_id: str, turn_idx: int, text: str) -> str:
-    """Content-hash id of one transcript turn (the `Image.image_id` analog)."""
-    return uuid_from_parts(conv_id, str(turn_idx), text)
-
-
 def md5_hex(data: bytes | str) -> str:
     """md5 hex digest (reference ``identifier.py:94-113`` hashes files; we hash
     values — used for exact dedup keys and deterministic pseudo-randomness)."""

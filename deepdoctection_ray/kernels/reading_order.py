@@ -127,15 +127,6 @@ def group_words_into_lines(
     return [(pos + 1, n_rows - row_idx, word_idx) for pos, (row_idx, word_idx, _) in enumerate(assigned)]
 
 
-def order_lines(line_boxes: np.ndarray) -> list[int]:
-    """Sort line boxes by vertical center — ``group_lines_into_lines``
-    (``order.py:135-162``). Returns line indices in reading order."""
-    if line_boxes.shape[0] == 0:
-        return []
-    cy = (line_boxes[:, 1] + line_boxes[:, 3]) / 2.0
-    return sorted(range(line_boxes.shape[0]), key=lambda i: cy[i])
-
-
 def _consolidate_columns(columns: list[list[float]], ioa_threshold: float) -> dict[int, int]:
     """Column merge map — ``order.py:332-349``.
 

@@ -23,21 +23,3 @@ def _node_to_dict(node: ET.Element) -> dict:
         "text": (node.text or "").strip(),
         "children": [_node_to_dict(c) for c in node],
     }
-
-
-def xml_block_texts(payload: str) -> list[str]:
-    """Flatten an XML document into leaf text blocks in document order."""
-    out: list[str] = []
-
-    def walk(node: ET.Element) -> None:
-        text = (node.text or "").strip()
-        if text and len(node) == 0:
-            out.append(text)
-        for child in node:
-            walk(child)
-            tail = (child.tail or "").strip()
-            if tail:
-                out.append(tail)
-
-    walk(ET.fromstring(payload))
-    return out

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 
 import ray.data
 from ray.data.aggregate import Sum
 
-from ..functions.joins import _bucket_of
+from ..functions.bucketed import bucketed_map_groups
 
 
 def evaluate_extraction(
@@ -45,7 +44,6 @@ def evaluate_extraction(
             if "payload_kind" not in df.columns:
                 df["payload_kind"] = ""
             df["__side"] = side
-            df["__bucket"] = _bucket_of(df[keys[0]].to_numpy(), num_buckets)
             return df
 
         return ds.map_batches(f, batch_format="pandas")
@@ -70,7 +68,9 @@ def evaluate_extraction(
         m = pd.DataFrame({"status": status, "kind": m["payload_kind"].fillna("")})
         return m.groupby(["status", "kind"], as_index=False).size().rename(columns={"size": "n"})
 
-    partials = both.groupby("__bucket").map_groups(judge_bucket, batch_format="pandas")
+    partials = bucketed_map_groups(
+        both, keys[:1], judge_bucket, num_buckets, batch_format="pandas"
+    )
     # final reduce: at most num_buckets × |status| × |kind| partial rows
     totals = partials.groupby(["status", "kind"]).aggregate(Sum("n", alias_name="n")).take_all()
     counts: dict[str, int] = {}

@@ -246,12 +246,6 @@ class ImageDHasher:
         )
 
 
-def _hamming64_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized popcount(a ^ b) over int64 arrays."""
-    x = (a.astype(np.int64) ^ b.astype(np.int64)).view(np.uint8)
-    return np.unpackbits(x).reshape(-1, 64).sum(axis=1).astype(np.int64)
-
-
 def hamming_band_pairs(
     hashes: ray.data.Dataset,
     id_column: str = "media_id",
@@ -266,9 +260,10 @@ def hamming_band_pairs(
     at threshold ≤ 7, and the per-bucket vectorized popcount verify removes
     every false positive. Shared by the image and audio near-dup operators.
     Returns ``(id_a, id_b, hamming)``, id_a < id_b."""
-    import pandas as pd
-
-    from .dedup import _dedup_pair_rows, _grouped_collisions, _report_truncation
+    from .dedup import (
+        _capped_collisions, _dedup_pair_rows, _grouped_collisions, _pair_frame,
+        _pairs_within, _popcount64,
+    )
 
     def band_rows(batch: pa.Table) -> pa.Table:
         h = batch[hash_column].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -289,40 +284,15 @@ def hamming_band_pairs(
     banded = hashes.map_batches(band_rows, batch_format="pyarrow")
 
     def emit_bucket(g: "pd.DataFrame") -> "pd.DataFrame":
-        sizes = g.groupby(["band", "band_key"])[id_column].transform("size")
-        coll = g[sizes > 1]
-        a_out, b_out, h_out = [], [], []
-        trunc_b = trunc_r = 0
-        for _, sub in coll.groupby(["band", "band_key"], sort=False):
-            sub = sub.drop_duplicates(id_column).sort_values(id_column)
-            if len(sub) > max_bucket:
-                trunc_b += 1
-                trunc_r += len(sub) - max_bucket
-                sub = sub.iloc[:max_bucket]
-            ids = sub[id_column].to_numpy()
-            hs = sub[hash_column].to_numpy()
-            n = len(ids)
-            if n < 2:
-                continue
-            ia, ib = np.triu_indices(n, k=1)
-            ham = _hamming64_vec(hs[ia], hs[ib])
-            keep = ham <= threshold
-            a_out.append(ids[ia[keep]])
-            b_out.append(ids[ib[keep]])
-            h_out.append(ham[keep])
-        if trunc_b:
-            _report_truncation("hamming_bands", trunc_b, trunc_r)
-        if not a_out:
-            return pd.DataFrame({"id_a": pd.Series([], dtype=g[id_column].dtype),
-                                 "id_b": pd.Series([], dtype=g[id_column].dtype),
-                                 "hamming": pd.Series([], dtype=np.int64)})
-        return pd.DataFrame(
-            {
-                "id_a": np.concatenate(a_out),
-                "id_b": np.concatenate(b_out),
-                "hamming": np.concatenate(h_out),
-            }
-        ).drop_duplicates(["id_a", "id_b"])
+        capped, bounds = _capped_collisions(
+            g, ["band", "band_key"], id_column, max_bucket, "hamming_bands"
+        )
+        ids = capped[id_column].to_numpy()
+        hs = capped[hash_column].to_numpy()
+        i, j = _pairs_within(bounds, ids)
+        ham = _popcount64(hs[i] ^ hs[j])
+        keep = ham <= threshold
+        return _pair_frame(ids[i[keep]], ids[j[keep]], hamming=ham[keep])
 
     pairs = _grouped_collisions(banded, ["band", "band_key"], emit_bucket)
     return _dedup_pair_rows(pairs)

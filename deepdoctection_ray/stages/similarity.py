@@ -427,7 +427,7 @@ def semantic_pairs(
     documented trade-off). Clusters larger than ``max_cluster`` truncate
     deterministically (smallest ids kept) and are counted via the shared
     truncation reporter. One shuffle, keyed by cluster id."""
-    from .dedup import _grouped_collisions, _dedup_pair_rows, _report_truncation
+    from .dedup import _capped_collisions, _cosine_pairs, _dedup_pair_rows, _grouped_collisions
 
     try:
         cent = train_ivf_centroids(
@@ -459,44 +459,8 @@ def semantic_pairs(
         )
 
     def emit_cluster(g) -> "pd.DataFrame":
-        import pandas as pd
-
-        sizes = g.groupby("cluster")[id_column].transform("size")
-        coll = g[sizes > 1]
-        a_o, b_o, c_o = [], [], []
-        trunc_clusters = trunc_rows = 0
-        for _, sub in coll.groupby("cluster", sort=False):
-            if len(sub) > max_cluster:
-                trunc_clusters += 1
-                trunc_rows += len(sub) - max_cluster
-                sub = sub.sort_values(id_column, kind="stable").head(max_cluster)
-            ids = sub[id_column].to_numpy()
-            emb = np.asarray(sub[embedding_column].tolist(), dtype=np.float64)
-            norms = np.linalg.norm(emb, axis=1)
-            norms[norms == 0] = 1.0
-            unit = emb / norms[:, None]
-            cos = unit @ unit.T
-            order = np.argsort(ids, kind="stable")
-            for oi in range(len(order)):
-                for oj in range(oi + 1, len(order)):
-                    i, j = order[oi], order[oj]
-                    if ids[i] == ids[j]:
-                        continue
-                    c = float(cos[i, j])
-                    if c >= threshold:
-                        a_o.append(ids[i])
-                        b_o.append(ids[j])
-                        c_o.append(round(c, 6))
-        if trunc_clusters:
-            _report_truncation("semantic", trunc_clusters, trunc_rows)
-        dtype = g[id_column].dtype
-        return pd.DataFrame(
-            {
-                "id_a": pd.Series(a_o, dtype=dtype),
-                "id_b": pd.Series(b_o, dtype=dtype),
-                "cosine": pd.Series(c_o, dtype=np.float64),
-            }
-        ).drop_duplicates(["id_a", "id_b"])
+        capped, bounds = _capped_collisions(g, ["cluster"], id_column, max_cluster, "semantic")
+        return _cosine_pairs(capped, bounds, id_column, embedding_column, threshold)
 
     assigned = ds.map_batches(assign, batch_format="pyarrow")
     return _dedup_pair_rows(

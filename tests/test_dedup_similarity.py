@@ -6,6 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +193,146 @@ def test_dedup_ngram_jaccard_truncation_reported(ray_session):
     assert counts["ngram_jaccard"]["dropped_rows"] >= 1
     assert len(pairs) >= 1
     reset_truncation_counts()
+
+
+_SHAPES = ("single", "exact", "plus_one", "triple", "any")
+
+
+@given(
+    shapes=st.lists(st.sampled_from(_SHAPES), min_size=1, max_size=6),
+    max_bucket=st.integers(1, 5),
+    id_space=st.integers(1, 40),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(shapes=["single", "single", "single"], max_bucket=3, id_space=40, seed=0)
+@example(shapes=["exact", "plus_one", "triple"], max_bucket=4, id_space=1000, seed=1)
+@example(shapes=["triple", "plus_one"], max_bucket=2, id_space=3, seed=2)
+@settings(max_examples=150, deadline=None)
+def test_capped_collisions_ignore_row_order(shapes, max_bucket, id_space, seed):
+    """The shared LSH cap keeps, per colliding group, the ``max_bucket``
+    smallest ids and reports the same ``(buckets, dropped_rows)`` whatever
+    order the rows arrive in — over non-colliding buckets, groups of exactly
+    ``max_bucket``, ``max_bucket + 1`` and ``3 × max_bucket`` rows, and
+    repeated ids (small ``id_space``)."""
+    from unittest import mock
+
+    import pandas as pd
+
+    from deepdoctection_ray.stages import dedup
+
+    rng = np.random.RandomState(seed)
+    sizes = {
+        "single": 1, "exact": max_bucket, "plus_one": max_bucket + 1,
+        "triple": 3 * max_bucket, "any": int(rng.randint(1, 3 * max_bucket + 1)),
+    }
+    frames = []
+    for key, shape in enumerate(shapes):
+        n = sizes[shape]
+        ids = rng.randint(0, id_space, n).astype(np.int64)
+        frames.append(pd.DataFrame({
+            "band": np.full(n, key % 2, np.int32),
+            "band_key": np.full(n, key * 7919, np.int64),
+            "doc_id": ids,
+            "payload": ids * 3 + 1,  # a column that rides along with its id
+        }))
+    g = pd.concat(frames, ignore_index=True)
+
+    # independent oracle: per group of >= 2 rows, the sorted ids' prefix
+    want_groups, want_counts = {}, (0, 0)
+    for (band, key), sub in g.groupby(["band", "band_key"]):
+        if len(sub) > 1:
+            want_groups[(band, key)] = sorted(sub["doc_id"])[:max_bucket]
+        if len(sub) > max_bucket:
+            want_counts = (want_counts[0] + 1, want_counts[1] + len(sub) - max_bucket)
+
+    orders = [np.arange(len(g)), np.arange(len(g))[::-1], rng.permutation(len(g))]
+    results = []
+    for order in orders:
+        reports = []
+        with mock.patch.object(
+            dedup, "_report_truncation", side_effect=lambda op, b, r: reports.append((b, r))
+        ):
+            capped, bounds = dedup._capped_collisions(
+                g.iloc[order].reset_index(drop=True),
+                ["band", "band_key"], "doc_id", max_bucket, "minhash",
+            )
+        assert len(reports) <= 1
+        assert (reports[0] if reports else (0, 0)) == want_counts
+        capped = capped.reset_index(drop=True)
+        assert bounds[-1] == len(capped)
+        got_groups = {
+            (int(capped["band"][s]), int(capped["band_key"][s])): capped["doc_id"][s:e].tolist()
+            for s, e in zip(bounds[:-1], bounds[1:])
+        }
+        assert got_groups == want_groups
+        assert (capped["payload"] == capped["doc_id"] * 3 + 1).all()
+        ids = capped["doc_id"].to_numpy()
+        i, j = dedup._pairs_within(bounds, ids)
+        want_pairs = {
+            (a, b)
+            for grp in want_groups.values()
+            for x, a in enumerate(grp)
+            for b in grp[x + 1 :]
+            if a != b
+        }
+        pairs = dedup._pair_frame(ids[i], ids[j])
+        assert set(zip(pairs["id_a"], pairs["id_b"])) == want_pairs
+        assert len(pairs) == len(want_pairs)
+        results.append(capped)
+    for other in results[1:]:
+        pd.testing.assert_frame_equal(results[0], other)
+
+
+def test_capped_collisions_repeated_id_counts_rows():
+    """A repeated id is capped and counted as rows, not as distinct ids (the
+    n-gram and Hamming emitters used to cap distinct ids): with
+    ``max_bucket=2`` the group [9, 5, 7, 5] keeps [5, 5], drops 2 rows and
+    yields no pair."""
+    from unittest import mock
+
+    import pandas as pd
+
+    from deepdoctection_ray.stages import dedup
+
+    g = pd.DataFrame({"band": np.zeros(4, np.int32), "band_key": np.ones(4, np.int64),
+                      "doc_id": np.array([9, 5, 7, 5], np.int64)})
+    with mock.patch.object(dedup, "_report_truncation") as report:
+        capped, bounds = dedup._capped_collisions(g, ["band", "band_key"], "doc_id", 2, "op")
+    report.assert_called_once_with("op", 1, 2)
+    assert capped["doc_id"].tolist() == [5, 5] and bounds.tolist() == [0, 2]
+    ids = capped["doc_id"].to_numpy()
+    i, j = dedup._pairs_within(bounds, ids)
+    assert len(i) == 0 and len(j) == 0
+
+
+def test_embedding_cosine_cap_ignores_row_order(ray_session):
+    """An overflowing embedding LSH bucket keeps the ``max_bucket`` smallest
+    ids, so the same rows read forward or reversed give identical pairs and
+    identical truncation counts (the cap used to keep the first rows to
+    arrive)."""
+    import ray.data
+
+    from deepdoctection_ray.stages.dedup import (
+        dedup_embedding_cosine, reset_truncation_counts, truncation_counts,
+    )
+
+    vec = np.random.RandomState(5).standard_normal(16).astype(np.float32).tolist()
+    rows = [{"vec_id": i, "embedding": vec} for i in range(12)]
+    runs = []
+    for ordered in (rows, rows[::-1]):
+        reset_truncation_counts()
+        pairs = dedup_embedding_cosine(
+            ray.data.from_items(ordered, override_num_blocks=1),
+            threshold=0.9, planes=4, bands=2, max_bucket=4,
+        ).to_pandas()
+        runs.append((sorted(zip(pairs["id_a"], pairs["id_b"])), truncation_counts()))
+    reset_truncation_counts()
+    (fwd_pairs, fwd_counts), (rev_pairs, rev_counts) = runs
+    assert fwd_pairs == [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    assert rev_pairs == fwd_pairs
+    # one overflowing group per band, 12 - 4 rows dropped from each
+    assert fwd_counts["embedding_cosine"] == {"buckets": 2, "dropped_rows": 16}
+    assert rev_counts == fwd_counts
 
 
 def test_top_n_per_group_matches_pandas(ray_session):

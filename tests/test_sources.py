@@ -75,10 +75,11 @@ def test_read_pdf_page_split(ray_session, tmp_path):
 def test_semi_and_anti_join(ray_session):
     import ray.data
 
-    from deepdoctection_ray.functions.joins import semi_join
+    from deepdoctection_ray.functions.joins import hash_join
 
     ds = ray.data.from_items([{"k": i} for i in range(10)])
-    kept = semi_join(ds, [2, 4, 6], "k").take_all()
+    keys = ray.data.from_items([{"k": k} for k in [2, 4, 6]])
+    kept = hash_join(ds, keys, "k", how="semi").take_all()
     assert sorted(r["k"] for r in kept) == [2, 4, 6]
-    dropped = semi_join(ds, [2, 4, 6], "k", anti=True).take_all()
+    dropped = hash_join(ds, keys, "k", how="anti").take_all()
     assert sorted(r["k"] for r in dropped) == [0, 1, 3, 5, 7, 8, 9]

@@ -1,4 +1,4 @@
-"""Text stats, metrics, combinators, multimodal plumbing, category ops."""
+"""Text stats, metrics, multimodal plumbing, category ops."""
 
 from __future__ import annotations
 
@@ -50,26 +50,6 @@ def test_metrics_prf1(ray_session):
     assert prf["a"]["precision"] == 1.0
     assert prf["a"]["recall"] == 0.5
     assert prf["b"]["recall"] == 1.0
-
-
-def test_combinators(ray_session):
-    import ray.data
-
-    from deepdoctection_ray.functions.combinators import (
-        concat_data,
-        from_list,
-        join_data,
-        map_data,
-    )
-
-    a = from_list([{"x": 1}, {"x": 2}, {"x": 3}], max_datapoints=2)
-    assert a.count() == 2
-    b = concat_data(from_list([{"x": 1}]), from_list([{"x": 2}]))
-    assert sorted(r["x"] for r in b.take_all()) == [1, 2]
-    z = join_data(from_list([{"x": 1}, {"x": 2}]), from_list([{"y": 3}, {"y": 4}]))
-    assert {tuple(sorted(r.items())) for r in z.take_all()} == {(("x", 1), ("y", 3)), (("x", 2), ("y", 4))}
-    m = map_data(from_list([{"x": 1}, {"x": 2}, {"x": 3}]), lambda r: {"x": r["x"] * 10} if r["x"] != 2 else None)
-    assert sorted(r["x"] for r in m.take_all()) == [10, 30]
 
 
 def test_multimodal_stub_plumbing(ray_session):

@@ -131,12 +131,12 @@ def assemble_conversations(
 class _ExtractAndWritePartitions:
     """Fused per-partition finisher: sort → extract → write → summary row.
 
-    Receives whole shuffle-partition blocks (``batch_size=None``) of INPUT
-    rows. The expensive nested output columns (spans/blocks) are produced
-    AFTER the shuffle and go straight to parquet — they never cross the
-    object store. One block may carry several complete hash partitions
-    (hash-shuffle routing guarantees a part_id never splits across blocks);
-    each is sliced out, sorted and written atomically.
+    Receives exactly one complete partition of INPUT rows per call: the sort
+    shuffle co-locates each part_id in one block, and ``map_groups`` slices
+    the block into its groups before calling the UDF. The expensive nested
+    output columns (spans/blocks) are produced AFTER the shuffle and go
+    straight to parquet — they never cross the object store. The partition
+    is sorted by (conv_id, turn_idx) and written atomically.
     """
 
     def __init__(self, output_dir: str, chaos_kill_once: str | None = None) -> None:
@@ -162,48 +162,26 @@ class _ExtractAndWritePartitions:
             except FileExistsError:
                 pass
 
-        summaries = []
-        if batch.num_rows:
-            t0 = time.perf_counter()
-            ordered = batch.sort_by(
-                [("part_id", "ascending"), ("conv_id", "ascending"), ("turn_idx", "ascending")]
-            )
-            part_col = ordered["part_id"].to_numpy()
-            sort_s = time.perf_counter() - t0
-            import numpy as np
-
-            starts = [0] + (np.nonzero(np.diff(part_col))[0] + 1).tolist() + [len(part_col)]
-            for s, e in zip(starts[:-1], starts[1:]):
-                chunk = ordered.slice(s, e - s)
-                t0 = time.perf_counter()
-                extracted = self._extract(chunk.combine_chunks())
-                extract_s = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                lineage = write_partition(
-                    self._out,
-                    int(part_col[s]),
-                    extracted,
-                    extra_lineage={"extract_sec": round(extract_s, 3)},
-                )
-                write_s = time.perf_counter() - t0
-                summaries.append(
-                    (
-                        int(part_col[s]),
-                        lineage["n_rows"],
-                        lineage["n_errors"],
-                        sort_s / max(len(starts) - 1, 1),
-                        extract_s,
-                        write_s,
-                    )
-                )
+        t0 = time.perf_counter()
+        ordered = batch.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
+        sort_s = time.perf_counter() - t0
+        part_id = ordered["part_id"][0].as_py()
+        t0 = time.perf_counter()
+        extracted = self._extract(ordered.combine_chunks())
+        extract_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        lineage = write_partition(
+            self._out, part_id, extracted, extra_lineage={"extract_sec": round(extract_s, 3)}
+        )
+        write_s = time.perf_counter() - t0
         return pa.table(
             {
-                "part_id": pa.array([s[0] for s in summaries], pa.int32()),
-                "n_rows": pa.array([s[1] for s in summaries], pa.int64()),
-                "n_errors": pa.array([s[2] for s in summaries], pa.int64()),
-                "sort_sec": pa.array([s[3] for s in summaries], pa.float64()),
-                "extract_sec": pa.array([s[4] for s in summaries], pa.float64()),
-                "write_sec": pa.array([s[5] for s in summaries], pa.float64()),
+                "part_id": pa.array([part_id], pa.int32()),
+                "n_rows": pa.array([lineage["n_rows"]], pa.int64()),
+                "n_errors": pa.array([lineage["n_errors"]], pa.int64()),
+                "sort_sec": pa.array([sort_s], pa.float64()),
+                "extract_sec": pa.array([extract_s], pa.float64()),
+                "write_sec": pa.array([write_s], pa.float64()),
             }
         )
 
@@ -214,7 +192,6 @@ def run_extraction(
     num_partitions: int | None = 32,
     resume: bool = True,
     concurrency: int | tuple[int, int] | None = None,
-    batch_size: int | None = None,
     salt_span: int | None = None,
     chaos_kill_once: str | None = None,
 ) -> dict:
@@ -224,7 +201,7 @@ def run_extraction(
     hashing, so one pathologically hot conv_id cannot exceed a partition's
     budget (see :func:`conv_partition_ids`).
 
-    Stage shape: read → tag/filter (stateless) → hash-shuffle the FLAT input
+    Stage shape: read → tag/filter (stateless) → sort-shuffle the FLAT input
     rows by part_id → fused actor stage per partition (sort, extract, write,
     lineage). Shuffling before extraction keeps the exchange payload to the
     input columns (flat strings — cheap to slice/serialize); the nested
@@ -280,9 +257,9 @@ def run_extraction(
     # fragments the shuffle into thousands of tiny per-partition slices and
     # object-store overhead swamps the exchange (8x slower, measured)
     ds = read_transcripts(input_path).map_batches(
-        tag_and_filter, batch_format="pyarrow", batch_size=batch_size
+        tag_and_filter, batch_format="pyarrow", batch_size=None
     )
-    summary = ds.groupby("part_id", num_partitions=num_partitions).map_groups(
+    summary = ds.groupby("part_id").map_groups(
         _ExtractAndWritePartitions,
         batch_format="pyarrow",
         concurrency=concurrency,

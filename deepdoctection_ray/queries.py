@@ -931,9 +931,9 @@ WHERE len(list_intersect(da.g, db.g))::DOUBLE
 
 
 def q_dup_clusters(sf_dir: str) -> ray.data.Dataset:
-    """Near-dup PAIRS → transitive duplicate CLUSTERS: distributed min-label
-    connected components (stages/graph.py) over the exact-verified MinHash
-    pairs at τ=0.5. ``cluster_id`` is the component's minimum doc_id — the
+    """Near-dup PAIRS → transitive duplicate CLUSTERS: distributed
+    large-star/small-star connected components (stages/graph.py) over the
+    exact-verified MinHash pairs at τ=0.5. ``cluster_id`` is the component's minimum doc_id — the
     canonical survivor a training pipeline keeps (``doc_id == cluster_id``).
     Oracle: DuckDB recursive transitive closure over the same brute-force
     pair truth the minhash oracle uses."""

@@ -8,91 +8,149 @@ graph operation at all (its duplicate handling is per-record
 ``annotation_id`` rejection, dd_core/datapoint/image.py:686-707), so this
 surface is native to the Ray rebuild.
 
-Algorithm: iterative min-label propagation on the pairs graph, expressed as
-ONE bucketed groupby per iteration (the repo's ``bucketed_map_groups``
-co-partitioning — no joins, no per-key Python groups):
+Algorithm: the alternating large-star/small-star contraction (Kiveris et al.,
+"Connected Components in MapReduce and Beyond", public literature), each step
+ONE bucketed groupby (the repo's ``bucketed_map_groups`` co-partitioning — no
+joins, no per-key Python groups; each bucket is reduced in numpy with one
+lexsort, no pandas). Large-star hangs every node's larger
+neighbors off the minimum of its neighborhood; small-star re-points each node
+and its smaller neighbors at their group minimum. Both steps preserve
+components, and rounds are O(log n) whatever the component diameter — a
+10k-node path converges in ~15 rounds (pinned in tests).
 
-- state rows ``(node, val)`` are label candidates; edge rows carry the static
-  adjacency. Both are hash-bucketed by node/src with the same vectorized hash,
-  so a node's candidates and its outgoing edges meet in one pandas frame.
-- each iteration reduces candidates to ``lab(node) = min(val)`` (vectorized
-  groupby) and emits ``(node, lab)`` plus one message ``(dst, lab(src))`` per
-  edge. Labels are monotone non-increasing, so the global sum of reduced
-  labels is a convergence witness: fixpoint ⇔ the sum stops moving.
+Each round ends with one check pass keyed by node, which co-locates every
+node's source and target roles. The edge set is final when it is a DISJOINT
+STAR PARTITION: every source has exactly one target and no target is itself
+a source. Because the contraction preserves components, a star partition IS
+the component assignment — a proof, not a heuristic fixpoint test. So the
+check pass emits the answer as it checks: a source labels itself with its
+target, a target-only node with itself, and each row carries its violation
+count. When the materialized pass sums to zero violations, it is returned.
 
 Scale notes (100-TB shape): only the PAIRS graph is touched — a tiny fraction
-of the corpus (docs that collided in some LSH band). Each iteration is one
-hash exchange of O(E) small int rows; iteration count is the max component
-diameter, which for near-dup clusters (near-cliques around a template) is
-2-4. For adversarial long-chain graphs (quote chains) pass
-``method="star"``: the alternating large-star/small-star contraction
-(Kiveris et al., "Connected Components in MapReduce and Beyond", public
-literature) on the same bucketed primitive — O(log n) rounds regardless of
-component diameter. Its convergence test doubles as a correctness PROOF:
-a round is final only when the edge set is a disjoint star partition
-(every source has exactly one target and no target is itself a source);
-since every star round preserves components (the paper's invariant), a star
-partition IS the component assignment — no probabilistic checksum involved.
+of the corpus (docs that collided in some LSH band). Each step is one hash
+exchange of O(E) small int rows; near-dup clusters (near-cliques around a
+template) become stars in one or two rounds.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray.data
 
-from ..functions.bucketed import BUCKET_COL, tag_buckets
+from ..functions.bucketed import bucketed_map_groups
 
 __all__ = ["connected_components", "dup_clusters"]
 
-_KIND_LAB = 0  # reduced (authoritative) label row
-_KIND_MSG = 1  # label message sent along an edge
-_KIND_EDGE = 2  # static adjacency row (node=src, val=dst)
+_SRC, _TGT, _LOOP = 0, 1, 2  # a node's role in one edge row of the check pass
 
 
-def _step(g: pa.Table) -> pa.Table:
-    """One propagation round for one bucket: reduce candidate labels per node,
-    then forward each node's label along its outgoing edges."""
-    node = g["node"].to_numpy(zero_copy_only=False)
-    val = g["val"].to_numpy(zero_copy_only=False)
-    kind = g["kind"].to_numpy(zero_copy_only=False)
-    is_edge = kind == _KIND_EDGE
-    cand = pd.DataFrame({"node": node[~is_edge], "val": val[~is_edge]})
-    lab = cand.groupby("node")["val"].min()
-    src = node[is_edge]
-    dst = val[is_edge]
-    msg_lab = lab.reindex(src).to_numpy()
-    out_node = np.concatenate([lab.index.to_numpy(), dst])
-    out_val = np.concatenate([lab.to_numpy(), msg_lab])
-    out_kind = np.concatenate(
-        [
-            np.full(len(lab), _KIND_LAB, dtype=np.int8),
-            np.full(len(dst), _KIND_MSG, dtype=np.int8),
-        ]
-    )
+def _explode(id_a: str, id_b: str):
+    """Pairs → symmetric ``(u, v)`` edges; a self-pair ``(a, a)`` stays one
+    ``(a, a)`` row, which large-star ignores and the check pass reads as
+    "``a`` is in the graph"."""
+
+    def explode(batch: pa.Table) -> pa.Table:
+        a = batch[id_a].to_numpy(zero_copy_only=False).astype(np.int64)
+        b = batch[id_b].to_numpy(zero_copy_only=False).astype(np.int64)
+        loop = a == b
+        return pa.table(
+            {
+                "u": pa.array(np.concatenate([a, b[~loop]]), pa.int64()),
+                "v": pa.array(np.concatenate([b, a[~loop]]), pa.int64()),
+            }
+        )
+
+    return explode
+
+
+def _group_min(keys: np.ndarray, vals: np.ndarray):
+    """Distinct keys (ascending), each key's minimum value, and every row's
+    index into the distinct keys — one lexsort, no pandas."""
+    order = np.lexsort((vals, keys))
+    k = keys[order]
+    first = np.ones(len(k), bool)
+    first[1:] = k[1:] != k[:-1]
+    uniq = k[first]
+    return uniq, vals[order][first], np.searchsorted(uniq, keys)
+
+
+def _edges(u: np.ndarray, v: np.ndarray) -> pa.Table:
+    """Distinct ``(u, v)`` rows."""
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
+    keep = np.ones(len(u), bool)
+    keep[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+    return pa.table({"u": pa.array(u[keep], pa.int64()), "v": pa.array(v[keep], pa.int64())})
+
+
+def _uv(g: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+    return g["u"].to_numpy(), g["v"].to_numpy()
+
+
+def _large(g: pa.Table) -> pa.Table:
+    # symmetrized within the bucketed group: Γ(u) = all v rows of u;
+    # every larger neighbor hangs off m = min(Γ(u) ∪ {u})
+    u, v = _uv(g)
+    uniq, mins, inv = _group_min(u, v)
+    tgt = np.minimum(mins, uniq)[inv]
+    keep = v > u
+    return _edges(v[keep], tgt[keep])
+
+
+def _small(g: pa.Table) -> pa.Table:
+    # directed input (every row has v < u): m = min(Γ(u) ∪ {u}) = min target;
+    # u and its non-min targets re-point at m
+    u, v = _uv(g)
+    uniq, mins, inv = _group_min(u, v)
+    tgt = mins[inv]
+    keep = v != tgt
+    return _edges(np.concatenate([v[keep], uniq]), np.concatenate([tgt[keep], mins]))
+
+
+def _roles(batch: pa.Table) -> pa.Table:
+    """Edge ``(u, v)`` → a source row for ``u`` and a target row for ``v``; a
+    self-pair row ``(a, a)`` → one loop row for ``a``."""
+    u, v = _uv(batch)
+    loop = u == v
     return pa.table(
         {
-            "node": pa.array(out_node, pa.int64()),
-            "val": pa.array(out_val, pa.int64()),
-            "kind": pa.array(out_kind, pa.int8()),
+            "node": pa.array(np.concatenate([u, v[~loop]]), pa.int64()),
+            "peer": pa.array(np.concatenate([v, v[~loop]]), pa.int64()),
+            "role": pa.array(
+                np.concatenate(
+                    [np.where(loop, _LOOP, _SRC), np.full(int((~loop).sum()), _TGT)]
+                ).astype(np.int8)
+            ),
         }
     )
 
 
-def _lab_sum(state: ray.data.Dataset) -> int:
-    """Sum of reduced labels (kind=0 rows) — the monotone convergence witness.
-    Per-batch partial sums; only one int per block reaches the driver."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        kind = batch["kind"].to_numpy(zero_copy_only=False)
-        val = batch["val"].to_numpy(zero_copy_only=False)
-        return pa.table({"s": pa.array([int(val[kind == _KIND_LAB].sum())], pa.int64())})
-
-    part = state.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    total = part.sum("s")
-    return int(total) if total is not None else 0
+def _label(g: pa.Table) -> pa.Table:
+    """One row per node of the bucket: ``cluster_id`` is a source's smallest
+    target and a target-only node's own id; ``bad`` counts the node's
+    star-partition violations (more than one target; source and target)."""
+    node = g["node"].to_numpy()
+    peer = g["peer"].to_numpy()
+    role = g["role"].to_numpy()
+    nodes = np.unique(node)
+    cluster = nodes.copy()
+    bad = np.zeros(len(nodes), np.int64)
+    src = role == _SRC
+    s_nodes, s_min, inv = _group_min(node[src], peer[src])
+    multi = np.bincount(inv[peer[src] != s_min[inv]], minlength=len(s_nodes)) > 0
+    at = np.searchsorted(nodes, s_nodes)
+    cluster[at] = s_min
+    bad[at] = multi.astype(np.int64) + np.isin(s_nodes, node[role == _TGT])
+    return pa.table(
+        {
+            "doc_id": pa.array(nodes, pa.int64()),
+            "cluster_id": pa.array(cluster, pa.int64()),
+            "bad": pa.array(bad, pa.int64()),
+        }
+    )
 
 
 def connected_components(
@@ -101,255 +159,42 @@ def connected_components(
     id_b: str = "id_b",
     num_buckets: int = 32,
     max_iters: int = 64,
-    method: str = "label",
     stats: dict | None = None,
 ) -> ray.data.Dataset:
     """Connected components over an undirected pair dataset.
 
     Returns ``(doc_id, cluster_id)`` for every node that appears in at least
-    one pair, where ``cluster_id`` is the minimum node id of its component
-    (the canonical representative; ``doc_id == cluster_id`` marks the row a
-    training pipeline keeps). Node ids must be integers (the documents
-    table's int64 ``doc_id``); monotone min-propagation is what makes the
-    convergence check exact.
-
-    ``method="label"`` (default) is min-label propagation — rounds scale with
-    component DIAMETER (2-4 for near-dup cliques). ``method="star"`` is the
-    large-star/small-star contraction — O(log n) rounds on adversarial
-    long-chain graphs; same output, same bucketed exchange primitive. Pass a
-    ``stats`` dict to read back ``stats["rounds"]``.
+    one pair (a node seen only in a self-pair is its own cluster), where
+    ``cluster_id`` is the minimum node id of its component (the canonical
+    representative; ``doc_id == cluster_id`` marks the row a training
+    pipeline keeps). Node ids must be integers (the documents table's int64
+    ``doc_id``). Large-star/small-star rounds run until the check pass finds a
+    star partition, at most ``max_iters`` rounds; pass a ``stats`` dict to
+    read back ``stats["rounds"]``.
     """
-    if method == "star":
-        return _cc_star(pairs, id_a, id_b, num_buckets, max_iters, stats)
-    if method != "label":
-        raise ValueError(f"unknown connected-components method {method!r}")
-
-    def explode(batch: pa.Table) -> pa.Table:
-        a = batch[id_a].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch[id_b].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = pa.array(np.concatenate([a, b]), pa.int64())
-        dst = pa.array(np.concatenate([b, a]), pa.int64())
-        kind = pa.array(np.full(len(src), _KIND_EDGE, dtype=np.int8))
-        return pa.table({"node": src, "val": dst, "kind": kind})
-
-    edges = pairs.map_batches(explode, batch_format="pyarrow", batch_size=None)
-    edges = edges.map_batches(
-        lambda t: tag_buckets(t, ["node"], num_buckets),
-        batch_format="pyarrow",
-        batch_size=None,
+    graph = pairs.map_batches(
+        _explode(id_a, id_b), batch_format="pyarrow", batch_size=None
     ).materialize()
-
-    empty = pa.table(
-        {"doc_id": pa.array([], pa.int64()), "cluster_id": pa.array([], pa.int64())}
-    )
-    if edges.count() == 0:
-        return ray.data.from_arrow(empty)
-
-    # initial candidates: every endpoint labels itself (node, node); the tag
-    # of (src, src) equals the edge row's tag — both hash the src value
-    def init_state(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node": batch["node"],
-                "val": batch["node"],
-                "kind": pa.array(np.full(len(batch), _KIND_LAB, dtype=np.int8)),
-                BUCKET_COL: batch[BUCKET_COL],
-            }
+    if graph.count() == 0:
+        return ray.data.from_arrow(
+            pa.table({"doc_id": pa.array([], pa.int64()), "cluster_id": pa.array([], pa.int64())})
         )
+    loops = graph.filter(expr="u == v")
 
-    state = edges.map_batches(init_state, batch_format="pyarrow", batch_size=None)
-    prev_sum: int | None = None
+    sym = graph  # the explode is already symmetric
     for _round in range(max_iters):
-        stepped = (
-            state.union(edges)
-            .groupby(BUCKET_COL)
-            .map_groups(_step, batch_format="pyarrow")
-        )
-        # re-tag (map_groups drops the bucket column) and pin this round's
-        # blocks so the next union doesn't re-execute the whole history
-        state = stepped.map_batches(
-            lambda t: tag_buckets(t, ["node"], num_buckets),
-            batch_format="pyarrow",
-            batch_size=None,
-        ).materialize()
-        cur = _lab_sum(state)
-        if prev_sum is not None and cur == prev_sum:
-            if stats is not None:
-                stats["rounds"] = _round + 1
-            break
-        prev_sum = cur
-    else:
-        raise RuntimeError(
-            f"connected_components did not converge in {max_iters} iterations"
-        )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        mask = pa.compute.equal(batch["kind"], _KIND_LAB)
-        kept = batch.filter(mask)
-        return pa.table({"doc_id": kept["node"], "cluster_id": kept["val"]})
-
-    return state.map_batches(finish, batch_format="pyarrow", batch_size=None)
-
-
-def _cc_star(
-    pairs: ray.data.Dataset,
-    id_a: str,
-    id_b: str,
-    num_buckets: int,
-    max_iters: int,
-    stats: dict | None = None,
-) -> ray.data.Dataset:
-    """Alternating large-star/small-star contraction (Kiveris et al. 2014).
-
-    Each round is two bucketed exchanges over the edge set plus one star
-    check: large-star hangs every node's LARGER neighbors off the local min
-    (over the symmetrized neighborhood), small-star re-points each node and
-    its smaller neighbors at the group min. Rounds are O(log n) on any graph
-    — a 10k-node path converges in ~15 rounds where label propagation needs
-    ~10k (pinned in tests). A round is final only when the edge set is a
-    DISJOINT STAR PARTITION (each source exactly one target, targets never
-    sources); combined with the per-step component-preservation invariant
-    that is a correctness proof, not a heuristic fixpoint test.
-    """
-    from ..functions.bucketed import bucketed_map_groups
-
-    def explode(batch: pa.Table) -> pa.Table:
-        a = batch[id_a].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch[id_b].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = a != b
-        a, b = a[keep], b[keep]
-        return pa.table(
-            {
-                "u": pa.array(np.concatenate([a, b]), pa.int64()),
-                "v": pa.array(np.concatenate([b, a]), pa.int64()),
-            }
-        )
-
-    edges = pairs.map_batches(explode, batch_format="pyarrow", batch_size=None).materialize()
-    empty = pa.table(
-        {"doc_id": pa.array([], pa.int64()), "cluster_id": pa.array([], pa.int64())}
-    )
-    if edges.count() == 0:
-        return ray.data.from_arrow(empty)
-
-    def large(g: pd.DataFrame) -> pd.DataFrame:
-        # symmetrized within the bucketed group: Γ(u) = all v rows of u
-        mins = g.groupby("u")["v"].min()
-        m = pd.Series(
-            np.minimum(mins.to_numpy(), mins.index.to_numpy()), index=mins.index
-        )
-        tgt = g["u"].map(m).to_numpy()
-        uu, vv = g["u"].to_numpy(), g["v"].to_numpy()
-        keep = vv > uu
-        return pd.DataFrame({"u": vv[keep], "v": tgt[keep]}).drop_duplicates()
-
-    def small(g: pd.DataFrame) -> pd.DataFrame:
-        # directed input (every row has v < u): m = min(Γ(u) ∪ {u}) = min target
-        mins = g.groupby("u")["v"].min()
-        tgt = g["u"].map(mins).to_numpy()
-        uu, vv = g["u"].to_numpy(), g["v"].to_numpy()
-        keep = vv != tgt  # non-min targets re-point at the min
-        out = pd.concat(
-            [
-                pd.DataFrame({"u": vv[keep], "v": tgt[keep]}),
-                pd.DataFrame({"u": mins.index.to_numpy(), "v": mins.to_numpy()}),
-            ]
-        )
-        return out.drop_duplicates()
-
-    def is_star_partition(e: ray.data.Dataset) -> bool:
-        """True iff every source has exactly one distinct target and no
-        target is itself a source — one bucketed pass, co-locating each
-        node's source and target roles by node hash."""
-
-        def roles(batch: pa.Table) -> pa.Table:
-            u = batch["u"].to_numpy(zero_copy_only=False)
-            v = batch["v"].to_numpy(zero_copy_only=False)
-            return pa.table(
-                {
-                    "node": pa.array(np.concatenate([u, v]), pa.int64()),
-                    "peer": pa.array(
-                        np.concatenate([v, np.full(len(v), -1, np.int64)]), pa.int64()
-                    ),
-                    "is_src": pa.array(
-                        np.concatenate(
-                            [np.ones(len(u), bool), np.zeros(len(v), bool)]
-                        )
-                    ),
-                }
-            )
-
-        def violations(g: pd.DataFrame) -> pd.DataFrame:
-            src = g[g["is_src"]]
-            n_targets = src.groupby("node")["peer"].nunique()
-            multi = int((n_targets > 1).sum())
-            both = int(
-                np.intersect1d(
-                    src["node"].unique(), g.loc[~g["is_src"], "node"].unique()
-                ).size
-            )
-            return pd.DataFrame({"bad": [multi + both]})
-
-        tallied = bucketed_map_groups(
-            e.map_batches(roles, batch_format="pyarrow", batch_size=None),
-            ["node"],
-            violations,
-            num_buckets,
-            batch_format="pandas",
-        )
-        total = tallied.sum("bad")
-        return int(total or 0) == 0
-
-    def symmetrize(batch: pa.Table) -> pa.Table:
-        u = batch["u"].to_numpy(zero_copy_only=False)
-        v = batch["v"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "u": pa.array(np.concatenate([u, v]), pa.int64()),
-                "v": pa.array(np.concatenate([v, u]), pa.int64()),
-            }
-        )
-
-    sym = edges  # the initial explode is already symmetric
-    for _round in range(max_iters):
-        directed = bucketed_map_groups(sym, ["u"], large, num_buckets, batch_format="pandas")
+        directed = bucketed_map_groups(sym, ["u"], _large, num_buckets)
         contracted = bucketed_map_groups(
-            directed, ["u"], small, num_buckets, batch_format="pandas"
+            directed, ["u"], _small, num_buckets
         ).materialize()  # pin lineage: each round builds on blocks, not history
-        if is_star_partition(contracted):
+        roles = contracted.union(loops).map_batches(_roles, batch_format="pyarrow", batch_size=None)
+        labeled = bucketed_map_groups(roles, ["node"], _label, num_buckets).materialize()
+        if labeled.sum("bad") == 0:
             if stats is not None:
                 stats["rounds"] = _round + 1
-            edges = contracted
-            break
-        sym = contracted.map_batches(symmetrize, batch_format="pyarrow", batch_size=None)
-    else:
-        raise RuntimeError(f"star contraction did not converge in {max_iters} rounds")
-
-    # star edges are (leaf, root): leaf rows bucket by u; root self-rows must
-    # come from the TARGET side — dedup roots in a second bucketed pass keyed
-    # by the root id itself
-    leaf_rows = bucketed_map_groups(
-        edges, ["u"], lambda g: g.drop_duplicates(), num_buckets, batch_format="pandas"
-    ).map_batches(
-        lambda t: t.rename_columns(["doc_id", "cluster_id"]),
-        batch_format="pyarrow",
-        batch_size=None,
-    )
-
-    def root_rows(g: pd.DataFrame) -> pd.DataFrame:
-        r = np.sort(g["v"].unique())
-        return pd.DataFrame({"doc_id": r, "cluster_id": r})
-
-    roots = bucketed_map_groups(
-        edges.map_batches(
-            lambda t: pa.table({"v": t["v"]}), batch_format="pyarrow", batch_size=None
-        ),
-        ["v"],
-        root_rows,
-        num_buckets,
-        batch_format="pandas",
-    )
-    return leaf_rows.union(roots)
+            return labeled.select_columns(["doc_id", "cluster_id"])
+        sym = contracted.map_batches(_explode("u", "v"), batch_format="pyarrow", batch_size=None)
+    raise RuntimeError(f"connected_components did not converge in {max_iters} rounds")
 
 
 def dup_clusters(

@@ -2,6 +2,8 @@
 
 import pyarrow as pa
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ray.data
 
@@ -16,8 +18,24 @@ def _pairs(rows):
 
 
 def _labels(ds):
-    out = ds.to_pandas().sort_values("doc_id").reset_index(drop=True)
-    return dict(zip(out["doc_id"], out["cluster_id"]))
+    return {r["doc_id"]: r["cluster_id"] for r in ds.take_all()}
+
+
+def _union_find(rows):
+    """Pure-Python oracle: every endpoint → the minimum id of its component."""
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in rows:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    return {n: find(n) for n in list(parent)}
 
 
 def test_cc_chain_and_islands(ray_session):
@@ -48,46 +66,50 @@ def test_cc_empty(ray_session):
     assert set(out.schema().names) == {"doc_id", "cluster_id"}
 
 
-def test_cc_star_equals_label(ray_session):
-    """large-star/small-star must produce the identical cluster assignment
-    on chains, islands, triangles and a random graph."""
-    import random
+@st.composite
+def _edge_lists(draw):
+    """Random edges over a small id space (self-pairs included), disjoint
+    cliques, then duplicated and reversed copies, in any order."""
+    ids = st.integers(0, draw(st.integers(2, 30)))
+    rows = draw(st.lists(st.tuples(ids, ids), max_size=40))
+    for k in range(draw(st.integers(0, 3))):
+        base, size = 100 + 10 * k, draw(st.integers(2, 5))
+        rows += [(base + i, base + j) for i in range(size) for j in range(i + 1, size)]
+    if rows:
+        for a, b in draw(st.lists(st.sampled_from(rows), max_size=10)):
+            rows.append((b, a) if draw(st.booleans()) else (a, b))
+    return draw(st.permutations(rows))
 
-    rows = [(i, i + 1) for i in range(1, 10)]
-    rows += [(100, 101)]
-    rows += [(200, 201), (201, 202), (200, 202)]
-    rng = random.Random(17)
-    rows += [
-        (rng.randrange(300, 360), rng.randrange(300, 360)) for _ in range(80)
-    ]
-    rows = [(a, b) for a, b in rows if a != b]
-    lab = _labels(connected_components(_pairs(rows), method="label"))
-    star = _labels(connected_components(_pairs(rows), method="star"))
-    assert star == lab
+
+@given(rows=_edge_lists())
+@example(rows=[(i, i + 1) for i in range(70)])  # a path longer than 64 nodes
+@example(rows=[(5, 5), (5, 5), (8, 7), (7, 8), (7, 8), (9, 9), (9, 3)])
+@example(rows=[(2, 4), (6, 0), (6, 5), (5, 4)])  # round 1 leaves node 4 with two targets
+@settings(max_examples=15, deadline=None)
+def test_cc_matches_union_find(ray_session, rows):
+    """Every endpoint gets its component's minimum id, exactly as a
+    union-find over the same edge list assigns it."""
+    assert _labels(connected_components(_pairs(rows))) == _union_find(rows)
+
+
+def test_cc_self_pair_is_own_cluster(ray_session):
+    # a node seen only in a self-pair is its own cluster, not dropped
+    lab = _labels(connected_components(_pairs([(5, 5), (7, 8)])))
+    assert lab == {5: 5, 7: 7, 8: 7}
 
 
 def test_cc_star_logarithmic_rounds_on_long_path(ray_session):
-    """Adversarial 10k-node path: diameter 9999 would force ~10k label-
-    propagation rounds; the star contraction must finish in O(log n)."""
+    """Adversarial 10k-node path (diameter 9999): the star contraction must
+    finish in O(log n) rounds with the default ``max_iters``."""
     import math
 
     n = 10_000
     rows = [(i, i + 1) for i in range(n - 1)]
     stats: dict = {}
-    out = connected_components(
-        _pairs(rows), method="star", max_iters=64, stats=stats
-    ).to_pandas()
+    out = connected_components(_pairs(rows), stats=stats).to_pandas()
     assert stats["rounds"] <= 3 * int(math.log2(n)) + 5
     assert len(out) == n
     assert (out["cluster_id"] == 0).all()
-
-
-def test_cc_star_empty(ray_session):
-    empty = ray.data.from_arrow(
-        pa.table({"id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64())})
-    )
-    out = connected_components(empty, method="star")
-    assert out.count() == 0
 
 
 def test_dup_clusters_planted(ray_session):

@@ -37,7 +37,7 @@ def test_extraction_matches_oracle(ray_session, small_transcripts, tmp_path):
     from deepdoctection_ray.pipelines.extraction import run_extraction
 
     out_dir = str(tmp_path / "out")
-    summary = run_extraction(small_transcripts, out_dir, num_partitions=8, batch_size=128)
+    summary = run_extraction(small_transcripts, out_dir, num_partitions=8)
     table = _read_output(out_dir)
 
     golden = oracle_extract(make_transcripts(n_convs=40, seed=42, hot_factor=10))
@@ -66,7 +66,7 @@ def test_partition_files_sorted_within(ray_session, small_transcripts, tmp_path)
     from deepdoctection_ray.pipelines.extraction import run_extraction
 
     out_dir = str(tmp_path / "out_sorted")
-    run_extraction(small_transcripts, out_dir, num_partitions=4, batch_size=64)
+    run_extraction(small_transcripts, out_dir, num_partitions=4)
     for f in sorted(os.listdir(out_dir)):
         if not f.endswith(".parquet"):
             continue

@@ -12,13 +12,13 @@ from typing import Any
 
 def entry() -> Any:
     """Flagship pipeline smoke: extract the synthetic transcript corpus plus
-    the sf0.001 documents table through the actor-pool extraction stage."""
+    the sf0.001 documents table through the extraction stage."""
     from deepdoctection_ray.pipelines.extraction import extract_turns, read_transcripts
     from deepdoctection_ray.synth import write_transcripts
 
     path = write_transcripts("/tmp/ddray_transcripts_entry", n_convs=40, seed=42, hot_factor=10)
     ds = read_transcripts(path)
-    out = extract_turns(ds, concurrency=(1, 4), batch_size=512)
+    out = extract_turns(ds, batch_size=512)
     return out.select_columns(
         ["conv_id", "turn_idx", "role", "tool", "ts", "payload_kind", "extracted_text"]
     )

@@ -37,7 +37,7 @@ DEFAULT_CONFIG: dict[str, Any] = {
     "USE_SEQUENCE_CLASSIFIER": False,
     "USE_TOKEN_CLASSIFIER": False,
     "BATCH_SIZE": 512,
-    "CONCURRENCY": 4,
+    "CONCURRENCY": 4,  # actor-pool size of the optional model stages
 }
 
 
@@ -86,23 +86,13 @@ class Analyzer:
             f.endswith(".parquet") for f in os.listdir(path)
         ):
             ds = read_transcripts(path)
-            out = extract_turns(
-                ds, concurrency=conc, batch_size=int(self.cfg["BATCH_SIZE"]), **kwargs
-            )
+            out = extract_turns(ds, batch_size=int(self.cfg["BATCH_SIZE"]), **kwargs)
         else:
             # a single PDF or a directory of PDFs: per-page split + word
-            # mining feed the same extraction stage as transcript payloads
-            from .stages.extract import TurnExtractor
-
-            pages = read_pdf(path)
-            out = pages.map_batches(
-                TurnExtractor,
-                batch_format="pyarrow",
-                concurrency=conc,
-                batch_size=64,
-                fn_constructor_kwargs=kwargs,
-            ).drop_columns(["pdf_bytes"])  # maybe_remove_image analog: raw page
-            # bytes never leave the extraction stage in the Page projection
+            # mining feed the same extraction stage as transcript payloads;
+            # raw page bytes never leave it (maybe_remove_image analog)
+            out = extract_turns(read_pdf(path), batch_size=64, **kwargs)
+            out = out.drop_columns(["pdf_bytes"])
         if self.cfg["USE_LANGUAGE_DETECTION"]:
             from .stages.text_stats import LanguageId
 

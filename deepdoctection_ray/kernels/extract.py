@@ -57,11 +57,12 @@ def extract_blocks(
     kinds: list[str],
     max_link_density: float = DEFAULT_MAX_LINK_DENSITY,
     paragraph_break: float = PARAGRAPH_BREAK,
-    html_parser: _BlockCollector | None = None,
     deskew: bool = False,
 ) -> tuple[list[list[Block]], list[str], list[str | None]]:
     """Each turn's ordered blocks, payload kind and dead-letter error
-    (``None`` when it extracted), routed by its sniffed payload kind."""
+    (``None`` when it extracted), routed by its sniffed payload kind. The
+    HTML turns of one call share one parser."""
+    html_parser = _BlockCollector()
     blocks: list[list[Block]] = [[] for _ in texts]
     kinds = list(kinds)
     errors: list[str | None] = [None] * len(texts)
@@ -94,7 +95,6 @@ def extract_turn(
     kind: str | None = None,
     max_link_density: float = DEFAULT_MAX_LINK_DENSITY,
     paragraph_break: float = PARAGRAPH_BREAK,
-    html_parser: _BlockCollector | None = None,
     deskew: bool = False,
 ) -> dict:
     """Extract one turn → dict with extracted_text / spans / blocks / kind / error.
@@ -104,8 +104,7 @@ def extract_turn(
     ``assemble_turn`` per turn where the stage assembles a whole batch.
     """
     [blocks], [k], [error] = extract_blocks(
-        [text], [kind or classify_payload(text)], max_link_density, paragraph_break, html_parser,
-        deskew,
+        [text], [kind or classify_payload(text)], max_link_density, paragraph_break, deskew
     )
     extracted, spans = assemble_turn(blocks)
     return {

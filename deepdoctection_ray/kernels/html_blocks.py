@@ -211,7 +211,7 @@ def parse_html_blocks(
     Args:
         html: the payload.
         max_link_density: blocks with a higher share of link text are dropped.
-        parser: optional warm parser instance (reused across rows by the actor).
+        parser: optional parser instance, reused across the rows of one call.
         engine: ``"fast"`` (regex tokenizer) or ``"stdlib"`` (html.parser);
             both drive the same collector state machine.
 

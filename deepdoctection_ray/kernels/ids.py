@@ -2,8 +2,7 @@
 
 Mirrors the reference's uuid3 scheme
 (``dd_core/src/dd_core/utils/identifier.py:53-77``): record and annotation ids
-are content hashes, which makes per-turn output reproducible across runs and
-makes retried partitions idempotent (same input row → same row id).
+are content hashes, stable across processes and runs (unlike ``hash()``).
 """
 
 from __future__ import annotations

@@ -3,16 +3,18 @@
 The reference has no stream-level checkpointing (SURVEY.md §4); this design is
 native to the Ray rebuild:
 
-- output is hash-partitioned by ``crc32(conv_id) % P`` — ONE partitioning key
-  reused by every downstream stage;
+- output is hash-partitioned by ``crc32(conv_id) % P``, the key of the
+  extraction shuffle, the output layout and resume (the bucketed stages
+  downstream hash their own keys with ``functions.bucketed.hash_rows``);
 - each partition writes atomically (temp file → ``os.replace``) as
   ``part-{i:05d}.parquet`` plus ``part-{i:05d}.lineage.json`` (row counts,
   error tally, payload-kind histogram, engine version) and a
   ``_SUCCESS.{i:05d}`` marker;
 - a resumed run scans the markers and filters finished partitions OUT at the
   read, before any extraction work happens;
-- row ids are content hashes (kernels.ids), so a retried partition overwrites
-  with identical bytes — idempotent by construction.
+- a retried partition is compared by content with the one already
+  finalized: identical content keeps the first write, so retries are
+  idempotent (see :func:`write_partition`).
 """
 
 from __future__ import annotations
@@ -64,11 +66,12 @@ def write_partition(output_dir: str, part_id: int, table: pa.Table, extra_lineag
     worker killed after finalizing but before its output block commits may
     legitimately re-run. If the success marker exists and the already-written
     partition holds *identical content*, the re-write is silently skipped (the
-    retry case — content-hash ids make retried output byte-stable). A marker
-    with *different* content means a partition's rows arrived in two different
-    writer tasks (an input block split — size ``num_partitions`` so a
-    partition stays under ``target_max_block_size``), which would silently
-    drop rows if allowed — that stays a hard error.
+    retry case — extraction is deterministic, so a retry's rows are the
+    same). A marker with *different* content means a partition's rows
+    arrived in two different writer tasks (an input block split — size
+    ``num_partitions`` so a partition stays under
+    ``target_max_block_size``), which would silently drop rows if allowed —
+    that stays a hard error.
     """
     os.makedirs(output_dir, exist_ok=True)
     if os.path.exists(os.path.join(output_dir, MARKER_FMT.format(i=part_id))):

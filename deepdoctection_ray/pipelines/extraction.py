@@ -1,26 +1,33 @@
 """The flagship pipeline: transcripts parquet → extracted turns parquet.
 
-Shape (all streaming, one wide op):
+Shape (all streaming, one exchange, every stage a Ray task):
 
     read_parquet (pruned columns)
-      → map_batches(add part_id, filter finished partitions)     [stateless]
-      → map_batches(TurnExtractor, concurrency=N)                [actor pool]
+      → map_batches(add part_id, filter finished partitions)
       → groupby(part_id).map_groups(sort by conv_id, turn_idx;
-                                    write partition + lineage)   [the shuffle]
+                                    extract; write partition + lineage)
 
-The single shuffle is keyed by ``part_id = crc32(conv_id) % P`` — the one
-partitioning key of the engine. In-group sorting restores stable turn order
-(the cross-record analog of the reference's ``TextOrderService``; the
-reference itself loses stream order under parallel maps, SURVEY.md §2.10, and
-re-establishes order per record only — here order is re-established per
-conversation by key, never by stream position). A conversation with millions
-of turns is bounded by its partition, and partition counts are uniform under
-the hash; P scales with the cluster (P ≈ 4-8x task slots).
+The single shuffle is keyed by ``part_id = crc32(conv_id) % P`` and carries
+the flat INPUT rows only: the nested span/block columns are produced after
+the exchange, next to the parquet writer. In-group sorting restores stable
+turn order (the cross-record analog of the reference's ``TextOrderService``;
+the reference itself loses stream order under parallel maps, SURVEY.md
+§2.10, and re-establishes order per record only — here order is
+re-established per conversation by key, never by stream position). A
+conversation with millions of turns is bounded by its partition, and
+partition counts are uniform under the hash; P scales with the cluster
+(P ≈ 4-8x task slots).
+
+Extraction holds no state worth an actor (every reference component is a
+stateless per-record map, SURVEY.md §2.3), so it runs as tasks: Ray Data
+sizes task parallelism to the free CPUs, and no pool can hold the only CPU
+of a small session while the read, tag and sort tasks wait.
 """
 
 from __future__ import annotations
 
 import os
+import time
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -39,27 +46,13 @@ def read_transcripts(path: str | list[str]) -> ray.data.Dataset:
 
 
 def extract_turns(
-    ds: ray.data.Dataset,
-    concurrency: int | tuple[int, int] | None = None,
-    batch_size: int = 1024,
-    keep_payload: bool = False,
-    **extractor_kwargs,
+    ds: ray.data.Dataset, batch_size: int = 1024, **extractor_kwargs
 ) -> ray.data.Dataset:
-    """Apply the per-turn extraction actor pool; payload column is projected
-    away afterwards (wide rows never cross more stages than necessary)."""
-    if concurrency is None:
-        # autoscaling pool sized to the cluster, leaving headroom for the
-        # read and shuffle stages so the pipeline doesn't serialize
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        concurrency = (1, max(2, cpus - 2))
+    """The extraction stage as Ray tasks: a ``TurnExtractor`` instance maps
+    every batch (Ray runs a callable instance as tasks, not as an actor
+    pool). The payload column is projected away unless ``keep_payload``."""
     return ds.map_batches(
-        TurnExtractor,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        fn_constructor_kwargs={"keep_payload": keep_payload, **extractor_kwargs},
+        TurnExtractor(**extractor_kwargs), batch_format="pyarrow", batch_size=batch_size
     )
 
 
@@ -128,7 +121,9 @@ def assemble_conversations(
     )
 
 
-class _ExtractAndWritePartitions:
+def _extract_and_write_partition(
+    batch: pa.Table, output_dir: str, chaos_kill_once: str | None = None
+) -> pa.Table:
     """Fused per-partition finisher: sort → extract → write → summary row.
 
     Receives exactly one complete partition of INPUT rows per call: the sort
@@ -138,52 +133,40 @@ class _ExtractAndWritePartitions:
     straight to parquet — they never cross the object store. The partition
     is sorted by (conv_id, turn_idx) and written atomically.
     """
+    if chaos_kill_once:
+        # fault-injection surface (chaos test): the FIRST task to reach this
+        # point claims the sentinel atomically, then dies mid-task exactly
+        # the way a preempted/OOM-killed worker does. Ray retries the task
+        # in a fresh worker; the markers/idempotent-write path must absorb
+        # the crash with byte-identical output.
+        try:
+            os.close(os.open(chaos_kill_once, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            os._exit(1)
+        except FileExistsError:
+            pass
 
-    def __init__(self, output_dir: str, chaos_kill_once: str | None = None) -> None:
-        self._out = output_dir
-        self._chaos = chaos_kill_once
-        self._extract = TurnExtractor()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import time
-
-        if self._chaos:
-            # fault-injection surface (chaos test): the FIRST actor to reach
-            # this point claims the sentinel atomically, then dies mid-task
-            # exactly the way a preempted/OOM-killed worker does. Ray retries
-            # the block on a fresh actor; the markers/idempotent-write path
-            # must absorb the crash with byte-identical output.
-            import os as _os
-
-            try:
-                fd = _os.open(self._chaos, _os.O_CREAT | _os.O_EXCL | _os.O_WRONLY)
-                _os.close(fd)
-                _os._exit(1)
-            except FileExistsError:
-                pass
-
-        t0 = time.perf_counter()
-        ordered = batch.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
-        sort_s = time.perf_counter() - t0
-        part_id = ordered["part_id"][0].as_py()
-        t0 = time.perf_counter()
-        extracted = self._extract(ordered.combine_chunks())
-        extract_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        lineage = write_partition(
-            self._out, part_id, extracted, extra_lineage={"extract_sec": round(extract_s, 3)}
-        )
-        write_s = time.perf_counter() - t0
-        return pa.table(
-            {
-                "part_id": pa.array([part_id], pa.int32()),
-                "n_rows": pa.array([lineage["n_rows"]], pa.int64()),
-                "n_errors": pa.array([lineage["n_errors"]], pa.int64()),
-                "sort_sec": pa.array([sort_s], pa.float64()),
-                "extract_sec": pa.array([extract_s], pa.float64()),
-                "write_sec": pa.array([write_s], pa.float64()),
-            }
-        )
+    t0 = time.perf_counter()
+    ordered = batch.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
+    sort_s = time.perf_counter() - t0
+    part_id = ordered["part_id"][0].as_py()
+    t0 = time.perf_counter()
+    extracted = TurnExtractor()(ordered.combine_chunks())
+    extract_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    lineage = write_partition(
+        output_dir, part_id, extracted, extra_lineage={"extract_sec": round(extract_s, 3)}
+    )
+    write_s = time.perf_counter() - t0
+    return pa.table(
+        {
+            "part_id": pa.array([part_id], pa.int32()),
+            "n_rows": pa.array([lineage["n_rows"]], pa.int64()),
+            "n_errors": pa.array([lineage["n_errors"]], pa.int64()),
+            "sort_sec": pa.array([sort_s], pa.float64()),
+            "extract_sec": pa.array([extract_s], pa.float64()),
+            "write_sec": pa.array([write_s], pa.float64()),
+        }
+    )
 
 
 def run_extraction(
@@ -191,7 +174,6 @@ def run_extraction(
     output_dir: str,
     num_partitions: int | None = 32,
     resume: bool = True,
-    concurrency: int | tuple[int, int] | None = None,
     salt_span: int | None = None,
     chaos_kill_once: str | None = None,
 ) -> dict:
@@ -202,7 +184,7 @@ def run_extraction(
     budget (see :func:`conv_partition_ids`).
 
     Stage shape: read → tag/filter (stateless) → sort-shuffle the FLAT input
-    rows by part_id → fused actor stage per partition (sort, extract, write,
+    rows by part_id → one fused task per partition (sort, extract, write,
     lineage). Shuffling before extraction keeps the exchange payload to the
     input columns (flat strings — cheap to slice/serialize); the nested
     span/block columns are born next to the parquet writer.
@@ -243,16 +225,6 @@ def run_extraction(
             batch = batch.filter(mask)
         return batch
 
-    if concurrency is None:
-        # the groupby is a barrier: read/shuffle complete before the fused
-        # extract+write stage starts, so its pool can use every CPU
-        import ray
-
-        # min=1 so pre-shuffle stages keep a CPU; the pool scales to every
-        # CPU once sorted partitions start queueing (the shuffle is a barrier)
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        concurrency = (1, max(2, cpus))
-
     # batch_size=None: the tag stage maps whole blocks — re-chunking here
     # fragments the shuffle into thousands of tiny per-partition slices and
     # object-store overhead swamps the exchange (8x slower, measured)
@@ -260,10 +232,9 @@ def run_extraction(
         tag_and_filter, batch_format="pyarrow", batch_size=None
     )
     summary = ds.groupby("part_id").map_groups(
-        _ExtractAndWritePartitions,
+        _extract_and_write_partition,
         batch_format="pyarrow",
-        concurrency=concurrency,
-        fn_constructor_kwargs={"output_dir": output_dir, "chaos_kill_once": chaos_kill_once},
+        fn_kwargs={"output_dir": output_dir, "chaos_kill_once": chaos_kill_once},
     )
     rows = summary.take_all()  # small: one row per partition
     return {

@@ -24,7 +24,7 @@ from .functions.joins import broadcast_join
 from .stages import dedup as dd
 from .stages import similarity as sim
 from .stages import text_stats as ts
-from .stages.extract import TurnExtractor
+from .pipelines.extraction import extract_turns, read_transcripts
 
 # --------------------------------------------------------------------- utils
 
@@ -760,9 +760,7 @@ FROM documents GROUP BY source ORDER BY source
 def q_extract_documents(sf_dir: str) -> ray.data.Dataset:
     """The extraction stage over the documents table (plain payloads)."""
     docs = _t(sf_dir, "documents", columns=["doc_id", "text"])
-    out = docs.map_batches(
-        TurnExtractor, batch_format="pyarrow", concurrency=(1, 4), batch_size=1024
-    )
+    out = extract_turns(docs)
     return out.select_columns(["doc_id", "extracted_text"])
 
 
@@ -2761,10 +2759,8 @@ GOLDEN_TURNS = "/tmp/ddray_fixtures/golden_turns.parquet"
 def q_extract_transcripts(sf_dir: str) -> ray.data.Dataset:
     """Flagship extraction over the synthetic transcript table (the sf tables
     carry no transcripts; the input is synthesized deterministically)."""
-    from .pipelines.extraction import extract_turns, read_transcripts
-
     ds = read_transcripts(_transcripts_dir())
-    out = extract_turns(ds, concurrency=(1, 4), batch_size=512)
+    out = extract_turns(ds, batch_size=512)
     return out.select_columns(["conv_id", "turn_idx", "payload_kind", "extracted_text"])
 
 
@@ -2781,7 +2777,7 @@ def q_token_classes(sf_dir: str) -> ray.data.Dataset:
     from .stages.classify import TokenClassifier
 
     docs = _t(sf_dir, "documents", columns=["doc_id", "text"])
-    out = docs.map_batches(TurnExtractor, batch_format="pyarrow", concurrency=(1, 4))
+    out = extract_turns(docs)
     out = out.map_batches(TokenClassifier, batch_format="pyarrow", concurrency=(1, 4))
 
     def counts(batch: pa.Table) -> pa.Table:
@@ -2821,7 +2817,7 @@ def q_doc_type(sf_dir: str) -> ray.data.Dataset:
     """Sequence classification (document type) over the layout-doc corpus."""
     from .stages.classify import SequenceClassifier
 
-    out = _layout_docs_ds().map_batches(TurnExtractor, batch_format="pyarrow", concurrency=(1, 4))
+    out = extract_turns(_layout_docs_ds())
     out = out.map_batches(SequenceClassifier, batch_format="pyarrow", concurrency=(1, 2))
     return out.select_columns(["doc_id", "doc_type"])
 
@@ -3014,9 +3010,7 @@ def q_read_pdf(sf_dir: str) -> ray.data.Dataset:
 
     fixtures.ensure_fixtures()
     pages = read_pdf(_os.path.join(fixtures.FIXTURE_DIR, "pdfs"))
-    out = pages.map_batches(
-        TurnExtractor, batch_format="pyarrow", concurrency=(1, 4), batch_size=64
-    )
+    out = extract_turns(pages, batch_size=64)
     return out.select_columns(["file_name", "page_number", "extracted_text"])
 
 
@@ -3738,7 +3732,7 @@ def q_entities(sf_dir: str) -> ray.data.Dataset:
 
     fixtures.ensure_fixtures()
     docs = ray.data.read_parquet(fixtures.path("entity_docs"))
-    out = docs.map_batches(TurnExtractor, batch_format="pyarrow", concurrency=(1, 4))
+    out = extract_turns(docs)
     out = out.map_batches(TokenClassifier, batch_format="pyarrow", concurrency=(1, 4))
     return out.map_batches(entity_rows, batch_format="pyarrow")
 
@@ -3785,7 +3779,7 @@ FROM linked WHERE entity <> 'word'
 def q_extract_layout(sf_dir: str) -> ray.data.Dataset:
     """Full layout-pipeline composition (NMS → ioa matching → residual lines →
     reading order) over a deterministic detector-output table."""
-    out = _layout_docs_ds().map_batches(TurnExtractor, batch_format="pyarrow", concurrency=(1, 4))
+    out = extract_turns(_layout_docs_ds())
     return out.select_columns(["doc_id", "payload_kind", "extracted_text"])
 
 
@@ -3799,10 +3793,10 @@ FROM read_parquet('/tmp/ddray_fixtures/golden_layout.parquet')
 def q_assemble_conversations(sf_dir: str) -> ray.data.Dataset:
     """Conversation-level document assembly: turns sorted per conv_id and
     joined with role prefixes (the cross-record Page.text analog)."""
-    from .pipelines.extraction import assemble_conversations, extract_turns, read_transcripts
+    from .pipelines.extraction import assemble_conversations
 
     ds = read_transcripts(_transcripts_dir())
-    out = extract_turns(ds, concurrency=(1, 4), batch_size=512)
+    out = extract_turns(ds, batch_size=512)
     return assemble_conversations(out)
 
 
@@ -3823,10 +3817,8 @@ GROUP BY conv_id
 
 def q_conv_stats(sf_dir: str) -> ray.data.Dataset:
     """Per-conversation stats over extraction output (groupby conv_id)."""
-    from .pipelines.extraction import extract_turns, read_transcripts
-
     ds = read_transcripts(_transcripts_dir())
-    out = extract_turns(ds, concurrency=(1, 4), batch_size=512)
+    out = extract_turns(ds, batch_size=512)
 
     def add_len(batch: pa.Table) -> pa.Table:
         return pa.table(

@@ -1,4 +1,4 @@
-"""The extraction stage: Arrow batch in → Arrow batch out, one actor per slot.
+"""The extraction stage: Arrow batch in → Arrow batch out, as Ray tasks.
 
 The Ray analog of the reference's component chain
 ``ImageLayoutService → TextExtractionService → MatchingService →
@@ -9,8 +9,9 @@ each row is classified once, the kernels return every turn's ordered blocks
 (pdfish geometry runs batch-wide), and one numpy/Arrow pass assembles the
 whole batch's text, spans and blocks.
 
-Stateful pieces (the warm HTML parser, compiled regexes) live in the actor's
-``__init__`` — once per worker process, amortized over all batches.
+The stage holds only its settings: the HTML parser is built once per batch
+(microseconds) and the regexes are compiled at import, so nothing needs an
+actor to stay warm.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from ..kernels.assemble import Block
 from ..kernels.extract import classify_payload, extract_blocks
 from ..kernels.extract import extract_turn  # noqa: F401  perfbench/layers.py wraps this name
 from ..kernels.grams import ranges, segment_sum
-from ..kernels.html_blocks import DEFAULT_MAX_LINK_DENSITY, _BlockCollector
+from ..kernels.html_blocks import DEFAULT_MAX_LINK_DENSITY
 from ..kernels.reading_order import PARAGRAPH_BREAK
 
 SPAN_TYPE = pa.list_(
@@ -67,22 +68,19 @@ def conv_partition_ids(
     Ordering within each range is preserved by the per-partition sort; a
     consumer that needs one giant conversation contiguous re-merges its
     ranges by turn_idx — that cost is paid only for the pathological key.
+
+    A null key part hashes as the empty string on both paths (a null
+    ``conv_id`` as ``""``, a null ``turn_idx`` as an empty range), so its row
+    lands in a deterministic partition and is written like any other.
     """
-    vals = conv_ids.to_pylist()
+    keys = pc.fill_null(conv_ids, "").to_pylist()
     if salt_span:
         turns = turn_idx.to_pylist()
-        return np.fromiter(
-            (
-                zlib.crc32(f"{v}#{t // salt_span}".encode("utf-8")) % num_partitions
-                for v, t in zip(vals, turns)
-            ),
-            dtype=np.int32,
-            count=len(vals),
-        )
+        keys = [f"{v}#{'' if t is None else t // salt_span}" for v, t in zip(keys, turns)]
     return np.fromiter(
-        (zlib.crc32(v.encode("utf-8")) % num_partitions for v in vals),
+        (zlib.crc32(k.encode("utf-8")) % num_partitions for k in keys),
         dtype=np.int32,
-        count=len(vals),
+        count=len(keys),
     )
 
 
@@ -140,10 +138,10 @@ def assemble_batch(turns: list[list[Block]]) -> tuple[pa.Array, pa.Array, pa.Arr
 
 
 class TurnExtractor:
-    """Actor-pool batch extractor.
+    """Batch extractor: a callable holding the extraction settings.
 
-    Use as ``ds.map_batches(TurnExtractor, batch_format="pyarrow",
-    concurrency=N, batch_size=B, fn_constructor_kwargs=...)``.
+    Map it through ``pipelines.extraction.extract_turns``, which passes an
+    instance to ``map_batches`` so Ray runs it as tasks.
     """
 
     def __init__(
@@ -154,7 +152,6 @@ class TurnExtractor:
         text_column: str = "text",
         deskew: bool = False,
     ) -> None:
-        self._parser = _BlockCollector()  # warm parser, reused across batches
         self._mld = max_link_density
         self._pb = paragraph_break
         self._keep_payload = keep_payload
@@ -164,8 +161,7 @@ class TurnExtractor:
     def __call__(self, batch: pa.Table) -> pa.Table:
         texts = [t if t is not None else "" for t in batch.column(self._text_column).to_pylist()]
         blocks, kinds, errors = extract_blocks(
-            texts, [classify_payload(t) for t in texts], self._mld, self._pb,
-            html_parser=self._parser, deskew=self._deskew,
+            texts, [classify_payload(t) for t in texts], self._mld, self._pb, self._deskew
         )
         extracted, spans, block_lists = assemble_batch(blocks)
 

@@ -52,9 +52,9 @@ def test_marker_requires_data_file(tmp_path):
 
 
 def test_chaos_actor_kill_mid_run_self_heals(ray_session, tmp_path):
-    """Kill one fused extract+write actor mid-run (os._exit inside the task —
-    the preempted-worker failure mode): Ray must retry the block on a fresh
-    actor, the marker/idempotent-write path must absorb any partially-written
+    """Kill one fused extract+write task mid-run (os._exit inside the task —
+    the preempted-worker failure mode): Ray must retry the task in a fresh
+    worker, the marker/idempotent-write path must absorb any partially-written
     partition, and the final output must be byte-identical to a clean run."""
     import glob
     import hashlib

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 
 import pyarrow as pa
+import pytest
 
 from deepdoctection_ray.kernels.extract import extract_turn
 from deepdoctection_ray.stages.extract import TurnExtractor
@@ -72,3 +73,44 @@ def test_empty_dataset_extraction(ray_session, tmp_path):
     summary = run_extraction(str(src), str(tmp_path / "out"), num_partitions=4, resume=False)
     assert summary["rows_written"] == 0
     assert summary["errors"] == 0
+
+
+@pytest.mark.parametrize("salt_span", [None, 2])
+def test_null_keys_get_a_partition(ray_session, tmp_path, salt_span):
+    """A null conv_id or turn_idx hashes as the empty string on both key
+    paths, and its row is extracted and written like any other."""
+    import pyarrow.parquet as pq
+
+    from deepdoctection_ray.pipelines.extraction import run_extraction
+    from deepdoctection_ray.stages.extract import conv_partition_ids
+    from deepdoctection_ray.synth import SCHEMA
+
+    # 2**31 partitions: no modulo collision between the compared keys
+    ids = conv_partition_ids(pa.array([None, "", "None"]), 2**31, pa.array([3, 3, 3]), salt_span)
+    assert ids[0] == ids[1] != ids[2]
+
+    table = pa.table(
+        {
+            "conv_id": ["a", None, "b", "a"],
+            "turn_idx": [0, 1, None, 1],
+            "role": ["user"] * 4,
+            "text": ["one", "two", "<p>three</p>", "four"],
+            "tool": [None] * 4,
+            "ts": [None] * 4,
+        },
+        schema=SCHEMA,
+    )
+    src = tmp_path / "src"
+    src.mkdir()
+    pq.write_table(table, str(src / "part.parquet"))
+    summary = run_extraction(
+        str(src), str(tmp_path / "out"), num_partitions=4, resume=False, salt_span=salt_span
+    )
+    assert summary["rows_written"] == 4 and summary["errors"] == 0
+    parts = sorted((tmp_path / "out").glob("part-*.parquet"))
+    out = pa.concat_tables(
+        pq.read_table(str(p), columns=["conv_id", "turn_idx", "extracted_text"]) for p in parts
+    )
+    assert sorted(zip(*out.to_pydict().values()), key=str) == sorted(
+        [("a", 0, "one"), (None, 1, "two"), ("b", None, "three"), ("a", 1, "four")], key=str
+    )

@@ -1,0 +1,61 @@
+"""The extraction entry points finish on a 1-CPU Ray session.
+
+An actor pool downstream of CPU tasks can hold the only CPU while the read,
+tag and sort tasks it waits on never get scheduled. The run happens in a
+child process with its own ``ray.init(num_cpus=1)`` under a hard timeout, so
+a hang fails this test instead of hanging the suite.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import signal
+import subprocess
+import sys
+
+import pyarrow.parquet as pq
+import pytest
+
+from deepdoctection_ray import fixtures
+
+TIMEOUT_S = 120
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+CHILD = """
+import json, sys
+import ray
+from deepdoctection_ray import fixtures
+from deepdoctection_ray.pipelines.extraction import extract_turns, read_transcripts, run_extraction
+
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+summary = run_extraction(fixtures.TRANSCRIPTS_DIR, sys.argv[1], num_partitions=8, resume=False)
+mapped = extract_turns(read_transcripts(fixtures.TRANSCRIPTS_DIR)).materialize().count()
+print(json.dumps({"rows_written": summary["rows_written"], "errors": summary["errors"],
+                  "mapped": mapped}))
+"""
+
+
+def test_extraction_finishes_on_one_cpu(tmp_path):
+    fixtures.ensure_fixtures()
+    rows = pq.read_table(fixtures.TRANSCRIPTS_DIR, columns=["conv_id"]).num_rows
+    env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [REPO, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", CHILD, str(tmp_path / "out")],
+        cwd=REPO,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # Ray's own processes die with the driver
+        proc.communicate()
+        pytest.fail(f"extraction did not finish within {TIMEOUT_S} s on a 1-CPU session")
+    assert proc.returncode == 0, err[-2000:]
+    result = json.loads(out.strip().splitlines()[-1])
+    assert result == {"rows_written": rows, "errors": 0, "mapped": rows}

@@ -191,8 +191,8 @@ def test_rotated_pdfish_equals_unrotated():
 def test_explode_chunks(ray_session):
     import ray.data
 
+    from deepdoctection_ray.pipelines.extraction import extract_turns
     from deepdoctection_ray.stages.chunks import explode_chunks
-    from deepdoctection_ray.stages.extract import TurnExtractor
 
     ds = ray.data.from_items(
         [
@@ -201,7 +201,7 @@ def test_explode_chunks(ray_session):
             {"conv_id": "a", "turn_idx": 1, "text": "plain words"},
         ]
     )
-    out = ds.map_batches(TurnExtractor, batch_format="pyarrow", concurrency=2)
+    out = extract_turns(ds)
     chunks = explode_chunks(out).to_pandas().sort_values(["turn_idx", "block_idx"])
     assert chunks["chunk_text"].tolist() == ["Top Title", "first para", "second para", "plain words"]
     assert chunks["category"].tolist() == ["title", "text", "text", "text"]

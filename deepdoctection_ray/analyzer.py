@@ -37,7 +37,7 @@ DEFAULT_CONFIG: dict[str, Any] = {
     "USE_SEQUENCE_CLASSIFIER": False,
     "USE_TOKEN_CLASSIFIER": False,
     "BATCH_SIZE": 512,
-    "CONCURRENCY": 4,  # actor-pool size of the optional model stages
+    "CONCURRENCY": 4,  # actor-pool size of the language-id stage
 }
 
 
@@ -105,15 +105,11 @@ class Analyzer:
         if self.cfg["USE_SEQUENCE_CLASSIFIER"]:
             from .stages.classify import SequenceClassifier
 
-            out = out.map_batches(
-                SequenceClassifier, batch_format="pyarrow", concurrency=conc
-            )
+            out = out.map_batches(SequenceClassifier(), batch_format="pyarrow")
         if self.cfg["USE_TOKEN_CLASSIFIER"]:
             from .stages.classify import TokenClassifier
 
-            out = out.map_batches(
-                TokenClassifier, batch_format="pyarrow", concurrency=conc
-            )
+            out = out.map_batches(TokenClassifier(), batch_format="pyarrow")
         return out
 
 

@@ -20,6 +20,7 @@ the sniff. Errors never propagate: a poison row yields no blocks plus an
 from __future__ import annotations
 
 import re
+import time
 
 from .assemble import Block, assemble_turn
 from .html_blocks import DEFAULT_MAX_LINK_DENSITY, _BlockCollector, parse_html_blocks
@@ -58,27 +59,34 @@ def extract_blocks(
     max_link_density: float = DEFAULT_MAX_LINK_DENSITY,
     paragraph_break: float = PARAGRAPH_BREAK,
     deskew: bool = False,
-) -> tuple[list[list[Block]], list[str], list[str | None]]:
+) -> tuple[list[list[Block]], list[str], list[str | None], dict[str, float]]:
     """Each turn's ordered blocks, payload kind and dead-letter error
-    (``None`` when it extracted), routed by its sniffed payload kind. The
-    HTML turns of one call share one parser."""
+    (``None`` when it extracted), routed by its sniffed payload kind, plus
+    the seconds each kind group took (``page``, ``html``, ``plain``: one
+    timer pair each). The HTML turns of one call share one parser."""
     html_parser = _BlockCollector()
     blocks: list[list[Block]] = [[] for _ in texts]
     kinds = list(kinds)
     errors: list[str | None] = [None] * len(texts)
-    page_rows: list[int] = []
-    for row, (text, kind) in enumerate(zip(texts, kinds)):
+    groups: dict[str, list[int]] = {"html": [], "plain": [], "page": []}
+    for row, kind in enumerate(kinds):
+        groups["page" if kind in ("pdfish", "layout") else "html" if kind == "html" else "plain"].append(row)
+    t_html = time.perf_counter()
+    for row in groups["html"]:
         try:
-            if kind in ("pdfish", "layout"):
-                page_rows.append(row)
-            elif kind == "html":
-                blocks[row] = parse_html_blocks(text, max_link_density, parser=html_parser)
-            else:
-                tokens = tokenize_plain(text)
-                if tokens:
-                    blocks[row] = [Block(category="text", words=tokens)]
+            blocks[row] = parse_html_blocks(texts[row], max_link_density, parser=html_parser)
         except Exception as exc:  # dead-letter, never fail the batch
             errors[row] = _dead_letter(exc)
+    t_plain = time.perf_counter()
+    for row in groups["plain"]:
+        try:
+            tokens = tokenize_plain(texts[row])
+            if tokens:
+                blocks[row] = [Block(category="text", words=tokens)]
+        except Exception as exc:
+            errors[row] = _dead_letter(exc)
+    t_page = time.perf_counter()
+    page_rows = groups["page"]
     page_blocks, page_kinds, page_errors = pdfish_blocks(
         [texts[r] for r in page_rows], paragraph_break, deskew
     )
@@ -87,7 +95,9 @@ def extract_blocks(
         kinds[row] = kind or kinds[row]
         if exc is not None:
             errors[row] = _dead_letter(exc)
-    return blocks, kinds, errors
+    t_end = time.perf_counter()
+    seconds = {"page": t_end - t_page, "html": t_plain - t_html, "plain": t_page - t_plain}
+    return blocks, kinds, errors, seconds
 
 
 def extract_turn(
@@ -103,7 +113,7 @@ def extract_turn(
     (FIXTURES.md F1): the same kernels as the batch stage, then
     ``assemble_turn`` per turn where the stage assembles a whole batch.
     """
-    [blocks], [k], [error] = extract_blocks(
+    [blocks], [k], [error], _ = extract_blocks(
         [text], [kind or classify_payload(text)], max_link_density, paragraph_break, deskew
     )
     extracted, spans = assemble_turn(blocks)

@@ -21,6 +21,7 @@ import pyarrow.compute as pc
 __all__ = [
     "ranges",
     "segment_sum",
+    "segment_bounds",
     "covered_mask",
     "token_windows",
     "split_tokens",
@@ -47,6 +48,16 @@ def segment_sum(values: np.ndarray, offs: np.ndarray) -> np.ndarray:
     """
     cs = np.concatenate([[0], np.cumsum(values)])
     return cs[offs[1:]] - cs[offs[:-1]]
+
+
+def segment_bounds(boxes: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    """Enclosing ``x0, y0, x1, y1`` box of each row ``boxes[offs[i]:offs[i + 1]]``
+    of an ``[N, 4]`` array: min of the upper-left, max of the lower-right
+    corners. Every row must be non-empty (an indexed ufunc reduce returns the
+    element AT a repeated offset)."""
+    return np.concatenate(
+        [np.minimum.reduceat(boxes[:, :2], offs[:-1]), np.maximum.reduceat(boxes[:, 2:], offs[:-1])], 1
+    )
 
 
 def covered_mask(starts: np.ndarray, width: int, total: int) -> np.ndarray:

@@ -19,8 +19,9 @@ Reading order of surviving blocks is document order (FIXTURES.md F1), the DOM
 counterpart of the geometric ``order_blocks``.
 
 Implementation: a single stdlib ``html.parser.HTMLParser`` subclass — no
-external parser dependency; the Ray stage constructs one parser per actor and
-reuses it across batches (warm-parser pattern, SURVEY.md §7.3).
+external parser dependency. ``kernels.extract.extract_blocks`` builds one
+parser per call and every HTML turn of that batch reuses it; a parser costs
+microseconds to build, so no actor has to keep one warm.
 """
 
 from __future__ import annotations

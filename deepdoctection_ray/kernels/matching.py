@@ -37,18 +37,35 @@ def match_by_ioa(
     """
     if parent_boxes.shape[0] == 0 or child_boxes.shape[0] == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    mat = B.ioa_matrix(parent_boxes, child_boxes).T  # [child, parent] = inter/area(child)
     if max_parent_only:
-        mat = np.where(mat < threshold, 0.0, mat)
-        padded = np.hstack([np.zeros((mat.shape[0], 1)), mat])
-        best = padded.argmax(1)
-        child_idx = best.nonzero()[0]
-        parent_idx = best[child_idx] - 1
-        return child_idx.astype(np.int64), parent_idx.astype(np.int64)
+        shape = (child_boxes.shape[0], parent_boxes.shape[0])
+        best = match_rows_by_ioa(
+            np.broadcast_to(parent_boxes, (*shape, 4)), np.ones(shape, dtype=bool), child_boxes, threshold
+        )
+        child_idx = np.flatnonzero(best >= 0)
+        return child_idx, best[child_idx]
+    mat = B.ioa_matrix(parent_boxes, child_boxes).T  # [child, parent] = inter/area(child)
     if use_weighted_intersections:
         mat = mat * (mat != 0).sum(1, keepdims=True)
     child_idx, parent_idx = (mat > threshold).nonzero()
     return child_idx.astype(np.int64), parent_idx.astype(np.int64)
+
+
+def match_rows_by_ioa(
+    parents: np.ndarray, valid: np.ndarray, children: np.ndarray, threshold: float = MATCH_IOA_THRESHOLD
+) -> np.ndarray:
+    """:func:`match_by_ioa` with ``max_parent_only`` for many children at
+    once, each against its own padded row of candidate parents (``parents``
+    ``[N, K, 4]``, ``valid`` ``[N, K]``): the arg-max parent slot per child,
+    -1 for none. Row by row the same float expressions, so the same answer
+    (a NaN ioa wins, as ``argmax`` picks it)."""
+    lo = np.maximum(parents[..., :2], children[:, None, :2])
+    hi = np.minimum(parents[..., 2:], children[:, None, 2:])
+    inter = np.maximum(hi[..., 0] - lo[..., 0], 0.0) * np.maximum(hi[..., 1] - lo[..., 1], 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mat = inter * (1.0 / B.area(children))[:, None]
+    mat = np.where(valid & ~(mat < threshold), mat, 0.0)
+    return np.hstack([np.zeros((len(mat), 1)), mat]).argmax(1) - 1
 
 
 def match_by_distance(parent_boxes: np.ndarray, child_boxes: np.ndarray) -> np.ndarray:

@@ -35,30 +35,51 @@ so a pdfish page is a layout page with no detected blocks:
    (``order.py:72-132``); a line's order is the one ``make_text_lines``
    already computed.
 
-JSON is decoded per page; the bounds filter, snapping, the relative
-transform and the fixed-point centers run once over the flat words of a
-whole batch (elementwise IEEE operations, so bit-identical to a per-page
-run); NMS, rotation, matching, line building and block ordering stay per page.
+JSON is decoded, and NMS and rotation run, per page; the bounds filter,
+snapping, the relative transform and the fixed-point centers run once over
+the flat words of a whole batch (elementwise IEEE operations, so
+bit-identical to a per-page run). Steps 4–7 run batch-wide too
+(:func:`_layout_batch`): matching over padded per-page block rows, the row
+pass, line building and the in-block word order over runs of words keyed by
+run id (``reading_order.batch_row_openers``, ``textlines.batch_lines``),
+and block ordering over all pages at once
+(``reading_order.batch_order_blocks``). The per-page chain
+(:func:`_layout_blocks`) is their differential oracle; it also lays out a
+batch of fewer than :data:`BATCH_MIN_PAGES` pages, where the batch passes'
+fixed cost exceeds their saving, and any page the batch passes leave to it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import compress
+from itertools import chain, compress
+from operator import itemgetter
 
 import numpy as np
 
 from . import boxes as B
 from .assemble import Block
-from .matching import match_by_ioa, nms
+from .grams import ranges
+from .matching import match_by_ioa, match_rows_by_ioa, nms
 from .normalize import clean_token
-from .reading_order import PARAGRAPH_BREAK, group_words_into_lines, order_blocks, rel_center_arrays
-from .textlines import make_text_lines
+from .reading_order import (
+    PARAGRAPH_BREAK,
+    batch_group_order,
+    batch_order_blocks,
+    batch_row_openers,
+    group_words_into_lines,
+    order_blocks,
+    rel_center_arrays,
+)
+from .textlines import batch_lines, make_text_lines
 from .transforms import estimate_skew_angle, rotate_boxes, rotate_boxes_by_degrees, rotated_extent
 
 DESKEW_MIN_ANGLE = 0.5  # degrees; a smaller estimated skew is left alone
 NMS_THRESHOLD = 0.5
+# below this many pages a batch runs the per-page chain: the batch passes'
+# fixed cost (measured about 1.7 ms) exceeds what they save per page
+BATCH_MIN_PAGES = 8
 # view.py:963-971 — narrative-text block categories
 FLOATING_CATEGORIES = frozenset({"text", "title", "list", "list_item", "key_value_area"})
 # view.py:972-988 — categories that hold words but are not narrative
@@ -88,6 +109,10 @@ def _detected(raw_blocks: list[dict], nms_threshold: float) -> Detected:
     return list(compress(categories, keep)), boxes[keep]
 
 
+_TEXT = itemgetter("text")
+_COORDS = itemgetter("x0", "top", "x1", "bottom")
+
+
 def _decode(
     payload: str, nms_threshold: float
 ) -> tuple[list[str], list[float], float, float, int, Detected | None]:
@@ -101,9 +126,19 @@ def _decode(
     height = float(page.get("height", 792.0))
     rotation = int(page.get("rotation", 0))
     detected = _detected(doc.get("blocks") or [], nms_threshold) if "blocks" in doc else None
+    words = doc.get("words") or []
+    try:  # the common page: every word has a str text and float coordinates
+        texts = list(map(_TEXT, words))
+        joined = "".join(texts)
+        coords = list(map(float, chain.from_iterable(map(_COORDS, words))))
+    except Exception:
+        texts = []
+    # one check for the page: no empty token, no control character anywhere
+    if texts and all(texts) and clean_token(joined) is joined:
+        return texts, coords, width, height, rotation, detected
     tokens: list[str] = []
-    coords: list[float] = []
-    for w in doc.get("words") or []:
+    coords = []
+    for w in words:
         x0, top, x1, bottom = float(w["x0"]), float(w["top"]), float(w["x1"]), float(w["bottom"])
         if "text" in w:
             token = clean_token(str(w["text"]))
@@ -178,6 +213,98 @@ def _layout_blocks(
     ]
 
 
+def _layout_batch(
+    tokens: np.ndarray,
+    boxes: np.ndarray,
+    rel: np.ndarray,
+    cx: np.ndarray,
+    cy: np.ndarray,
+    offs: np.ndarray,
+    detections: list[Detected],
+    pages: list[tuple[float, float, int]],
+    live: list[int],
+    paragraph_break: float = PARAGRAPH_BREAK,
+) -> list[list[Block] | None]:
+    """Steps 4–7 for the pages ``live`` (words ``offs[t]:offs[t + 1]``) at
+    once: what :func:`_layout_blocks` gives page by page, from whole-batch
+    passes keyed by run and page ids. A page comes back ``None`` when it is
+    left to :func:`_layout_blocks`: a sub-line spans rows, a run exceeds the
+    row pass's pair budget, or a floating block's box is NaN (the per-page
+    ``order_blocks`` raises on it)."""
+    n_pages = len(live)
+    n = offs[np.add(live, 1)] - offs[live]
+    words = np.repeat(offs[live], n) + ranges(n)
+    page = np.repeat(np.arange(n_pages), n)
+
+    # step 4: each word's arg-max text block by ioa, among its page's
+    t_page, t_cat, t_box = [], [], []
+    for p, t in enumerate(live):
+        categories, block_boxes = detections[t]
+        ids = [i for i, c in enumerate(categories) if c in TEXT_BLOCK_CATEGORIES]
+        if ids:
+            t_page += [p] * len(ids)
+            t_cat += [categories[i] for i in ids]
+            t_box.append(block_boxes[ids])
+    t_page = np.array(t_page, dtype=np.int64)
+    t_box = np.concatenate(t_box) if t_box else np.empty((0, 4))
+    per_page = np.bincount(t_page, minlength=n_pages)
+    parent = np.full(len(words), -1)
+    matched = np.flatnonzero(per_page[page] > 0)
+    if matched.size:
+        padded = np.zeros((n_pages, per_page.max(), 4))
+        padded[t_page, ranges(per_page)] = t_box
+        valid = np.arange(per_page.max()) < per_page[:, None]
+        slot = match_rows_by_ioa(padded[page[matched]], valid[page[matched]], boxes[words[matched]])
+        first = np.cumsum(per_page) - per_page
+        parent[matched] = np.where(slot < 0, -1, first[page[matched]] + slot)
+
+    # steps 5 and 7: rows of every floating block's words and of every
+    # page's residual words in one pass, then block word order and lines
+    floating = np.flatnonzero([c in FLOATING_CATEGORIES for c in t_cat]).astype(np.int64)
+    members = np.flatnonzero(np.isin(parent, floating))
+    members = members[np.argsort(parent[members], kind="stable")]
+    residual = np.flatnonzero(parent < 0)
+    f_offs = np.concatenate([[0], np.cumsum(np.bincount(parent[members], minlength=len(t_cat))[floating])])
+    r_counts = np.bincount(page[residual], minlength=n_pages)
+    r_offs = np.concatenate([[0], np.cumsum(r_counts)])
+    k = len(members)
+    elems = words[np.concatenate([members, residual])]
+    opener, fit = batch_row_openers(
+        np.concatenate([f_offs, k + r_offs[1:]]), rel[elems, 1], rel[elems, 3], cy[elems]
+    )
+    f_words = elems[:k][batch_group_order(f_offs, rel[elems[:k], 1], cx[elems[:k]], opener[:k])]
+    res = elems[k:]
+    in_line, l_offs, l_boxes, split = batch_lines(
+        r_offs, rel[res], cx[res], cy[res], opener[k:] - k, paragraph_break
+    )
+    f_page = t_page[floating]
+    extent = np.array([pages[t][:2] for t in live]).reshape(-1, 2)[f_page]
+    f_boxes = B.to_relative(t_box[floating], extent[:, 0], extent[:, 1])
+    declined = ~fit[len(floating) :] | split
+    declined[f_page[~fit[: len(floating)] | np.isnan(f_boxes).any(1)]] = True
+
+    # step 6: each page's floating blocks, then its lines, in reading order
+    b_page = np.concatenate([f_page, np.repeat(np.arange(n_pages), r_counts)[in_line[l_offs[:-1]]]])
+    b_offs = np.concatenate([f_offs, k + l_offs[1:]])
+    b_box = np.concatenate([f_boxes, l_boxes])
+    b_cat = [t_cat[i] for i in floating.tolist()] + ["line"] * (len(l_offs) - 1)
+    kept = np.flatnonzero(~declined[b_page])
+    kept = kept[np.argsort(b_page[kept], kind="stable")]
+    kept_offs = np.concatenate([[0], np.cumsum(np.bincount(b_page[kept], minlength=n_pages))])
+    order = kept[batch_order_blocks(b_box[kept], kept_offs)]
+    order = order[b_offs[order + 1] > b_offs[order]]  # a block with no words adds no text
+    texts = tokens[np.concatenate([f_words, res[in_line]])].tolist()
+    made = list(map(
+        Block,
+        [b_cat[b] for b in order.tolist()],
+        [texts[s:e] for s, e in zip(b_offs[order].tolist(), b_offs[order + 1].tolist())],
+        zip(*b_box[order].T.tolist()),
+    ))
+    counts = np.bincount(b_page[order], minlength=n_pages)
+    ends = np.cumsum(counts).tolist()
+    return [None if d else made[e - c : e] for d, e, c in zip(declined.tolist(), ends, counts.tolist())]
+
+
 def pdfish_blocks(
     payloads: list[str],
     paragraph_break: float = PARAGRAPH_BREAK,
@@ -236,7 +363,7 @@ def pdfish_blocks(
     keep = ~(boxes >= extent).any(axis=1)
     offs = np.concatenate([[0], np.cumsum(keep)])[np.concatenate([[0], np.cumsum(counts)])]
     boxes, extent = B.snap_abs(boxes[keep]), extent[keep]
-    tokens = list(compress(tokens, keep))
+    tokens = np.array(tokens, dtype=object)[keep]
     offs = offs.tolist()
 
     for t, (row, (page_w, page_h, rotation), (categories, block_boxes)) in enumerate(
@@ -263,22 +390,31 @@ def pdfish_blocks(
     nan_turns = set()
     if math.isnan(rel.sum()):  # the per-word centers' Python round() rejects NaN
         nan_turns = set((np.searchsorted(offs, np.flatnonzero(np.isnan(cx + cy)), "right") - 1).tolist())
-    rel_list = rel.tolist()
-    centers = list(zip(cx.tolist(), cy.tolist()))
+    live = []
     for t, row in enumerate(rows):
-        s, e = offs[t], offs[t + 1]
-        if errors[row] is not None or (e == s and not detections[t][0]):
+        if errors[row] is not None or (offs[t + 1] == offs[t] and not detections[t][0]):
             continue
         if t in nan_turns:
             errors[row] = ValueError("cannot convert float NaN to integer")
-            continue
+        else:
+            live.append(t)
+    laid: list[list[Block] | None] = []
+    if len(live) >= BATCH_MIN_PAGES:
         try:
-            blocks[row] = _layout_blocks(
-                tokens[s:e], boxes[s:e], rel_list[s:e], centers[s:e],
-                detections[t], *pages[t][:2], paragraph_break,
+            laid = _layout_batch(
+                tokens, boxes, rel, cx, cy, np.array(offs), detections, pages, live, paragraph_break
+            )
+        except Exception:  # the per-page chain below dead-letters only a page that fails
+            laid = []
+    for t, page_blocks in zip(live, laid + [None] * (len(live) - len(laid))):
+        s, e = offs[t], offs[t + 1]
+        try:
+            blocks[rows[t]] = page_blocks if page_blocks is not None else _layout_blocks(
+                tokens[s:e].tolist(), boxes[s:e], rel[s:e].tolist(),
+                list(zip(cx[s:e].tolist(), cy[s:e].tolist())), detections[t], *pages[t][:2], paragraph_break,
             )
         except Exception as exc:
-            errors[row] = exc
+            errors[rows[t]] = exc
     return blocks, kinds, errors
 
 

@@ -21,6 +21,7 @@ import math
 import numpy as np
 
 from . import boxes as B
+from .grams import ranges
 
 # conf_dd_one.yaml:146-167
 STARTING_POINT_TOLERANCE = 0.005
@@ -276,3 +277,215 @@ def order_blocks(
         group_in_scan_order.sort(key=lambda i: (round(rel[i][1], 2), round(rel[i][0], 2)))
         ordered.extend(group_in_scan_order)
     return ordered
+
+
+# --- batch forms: every run / page of a batch in whole-array passes --------
+
+PAIR_BUDGET = 1 << 20  # row-test pairs per run: bounds the row pass's memory
+
+
+def grid_pos(values: np.ndarray) -> np.ndarray:
+    """``2k`` for a value ON the relative fixed-point grid (``k / REL_SCALE``,
+    what :func:`boxes.snap_rel` gives), else the odd integer between its two
+    grid neighbours. A strict comparison of a grid value against any value
+    in [0, 1] is the same comparison of these integers: grid values sit
+    1e-8 apart, far beyond a float's rounding there, and the one float
+    comparison that decides the odd side is done exactly."""
+    k = np.rint(values * B.REL_SCALE)
+    return (2 * k + np.sign(values - k / B.REL_SCALE)).astype(np.int64)
+
+
+def batch_row_openers(
+    offs: np.ndarray, uly: np.ndarray, lry: np.ndarray, cy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`group_words_into_lines`' greedy rows for every run
+    ``offs[s]:offs[s + 1]`` of relative word boxes at once: the element that
+    opened each element's row (itself for an opener), and per run whether
+    its row test passes for at most :data:`PAIR_BUDGET` word pairs (in a
+    run that does not, every word opens its own row: its page is left to
+    the per-page chain).
+
+    A row's band is fixed by the word that opened it, so a word opens a row
+    iff no earlier OPENER's row takes it, and joins the first opener's row
+    that does. The pairs that pass the row test — the later word's center
+    inside the earlier one's band, or the earlier band's middle inside the
+    later word's — come from two interval joins on one sorted integer key
+    (run, :func:`grid_pos`), so only passing pairs are ever built. The
+    recursion is then a fixed point over them: from "every word opens",
+    each pass fixes at least one more word of every run, and the first pass
+    that changes nothing is the answer (the fixed point is unique)."""
+    n = np.diff(offs)
+    size = len(cy)
+    run = np.repeat(np.arange(len(n)), n)
+    key_cy, key_mid, key_up, key_low = (
+        (run << 32) + grid_pos(np.stack([cy, (uly + lry) / 2.0, uly, lry]))
+    )
+    up_order, low_order = np.argsort(key_up), np.argsort(key_low)
+    joins = []
+    for points in (key_cy, key_mid):  # (band owner, point) pairs, band strictly around the point
+        order = np.argsort(points)
+        start, stop = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+        start[up_order] = np.searchsorted(points[order], key_up[up_order], "right")
+        stop[low_order] = np.searchsorted(points[order], key_low[low_order], "left")
+        joins.append((order, start, np.maximum(stop - start, 0)))
+    fit = np.bincount(run, weights=joins[0][2] + joins[1][2], minlength=len(n)) <= PAIR_BUDGET
+    sides = []
+    for order, start, count in joins:
+        count = np.where(fit[run], count, 0)
+        sides.append((np.repeat(np.arange(size), count), order[np.repeat(start, count) + ranges(count)]))
+    (band_i, j_a), (band_j, i_b) = sides  # the band is the earlier word's, then the later word's
+    i, j = np.concatenate([band_i, i_b]), np.concatenate([j_a, band_j])
+    earlier = i < j
+    opens = np.ones(size, dtype=bool)
+    while True:
+        nxt = np.bincount(j, weights=opens[i] & earlier, minlength=size) == 0
+        if np.array_equal(nxt, opens):
+            break
+        opens = nxt
+    opener = np.arange(size)
+    np.minimum.at(opener, j, np.where(opens[i] & earlier, i, j))  # a word's first opener
+    return opener, fit
+
+
+def row_ids(opener: np.ndarray) -> np.ndarray:
+    """Each element's row as a batch-wide id, numbered in row-creation order
+    run by run (``opener`` from :func:`batch_row_openers`)."""
+    return (np.cumsum(opener == np.arange(len(opener))) - 1)[opener]
+
+
+def batch_group_order(offs: np.ndarray, uly: np.ndarray, cx: np.ndarray, opener: np.ndarray) -> np.ndarray:
+    """Element order of :func:`group_words_into_lines` for every run at once:
+    by run, then the row key the reference sorts by (the row at the rank
+    position of the word's own row index — the inverse-permutation quirk
+    above), then ``cx``, ties in input order."""
+    seg = np.repeat(np.arange(len(offs) - 1), np.diff(offs))
+    openers = np.flatnonzero(opener == np.arange(len(opener)))
+    by_top = np.lexsort((uly[openers], seg[openers]))  # row ids, each run's rows by top
+    return np.lexsort((cx, by_top[row_ids(opener)], seg))
+
+
+def _round2(values: np.ndarray) -> np.ndarray:
+    """Python's correctly rounded ``round(x, 2)`` elementwise. ``np.round``
+    (``rint(x * 100) / 100``) agrees unless ``x * 100`` lies near a .5 tie
+    (or ``x`` is huge or not finite): only those take the Python call."""
+    out = np.round(values, 2)
+    near = ~((np.abs(values * 100.0 % 1.0 - 0.5) > 1e-6) & (np.abs(values) < 1e6))
+    out[near] = [round(v, 2) for v in values[near].tolist()]
+    return out
+
+
+def batch_order_blocks(
+    rel: np.ndarray,
+    offs: np.ndarray,
+    starting_point_tolerance: float = STARTING_POINT_TOLERANCE,
+    broken_line_tolerance: float = BROKEN_LINE_TOLERANCE,
+    height_tolerance: float = HEIGHT_TOLERANCE,
+    ioa_column_threshold: float = IOA_COLUMN_THRESHOLD,
+) -> np.ndarray:
+    """:func:`order_blocks` for the blocks ``rel[offs[p]:offs[p + 1]]`` of
+    every page at once (finite relative boxes): the indices into ``rel`` in
+    reading order, page by page. A block the reference drops (its merged
+    column's rank lies past the last surviving column) is left out.
+
+    The greedy column and component passes step through block (column)
+    position across all pages together, over padded per-page tables; a NaN
+    pad fails every strict comparison, so it never takes a block."""
+    n = np.diff(offs)
+    if not len(rel):
+        return np.empty(0, dtype=np.int64)
+    pages, k_max = len(n), int(n.max())
+    page = np.repeat(np.arange(pages), n)
+    scale = float(B.REL_SCALE)
+    cx, cy = rel_center_arrays(rel)
+    scan = np.lexsort((cx, cy, page))
+    scan_pos = np.empty(len(rel), dtype=np.int64)
+    scan_pos[scan] = ranges(n)
+    reg = np.rint(rel * scale)
+    near = height_tolerance * ((reg[:, 3] - reg[:, 1]) / scale)
+
+    # greedy column building in scan order (order.py:237-291)
+    cols = np.full((pages, k_max, 4), np.nan)
+    n_cols = np.zeros(pages, dtype=np.int64)
+    col_of = np.empty(len(rel), dtype=np.int64)
+    for k in range(k_max):
+        act = np.flatnonzero(n > k)
+        b = scan[offs[act] + k]
+        x0, y0, x1, y1 = (rel[b, i, None] for i in range(4))
+        c, h = cols[act, : k + 1], near[b, None]
+        hit = (
+            ((c[..., 0] - starting_point_tolerance < x0) & (x1 < c[..., 2] + starting_point_tolerance))
+            | ((x0 - starting_point_tolerance < c[..., 0]) & (c[..., 2] < x1 + starting_point_tolerance))
+            | (np.abs(x0 - c[..., 2]) < broken_line_tolerance)
+        ) & ((np.abs(y0 - c[..., 3]) < h) | (np.abs(y1 - c[..., 1]) < h))
+        j = hit.argmax(1)
+        found = hit[np.arange(len(act)), j]
+        j = np.where(found, j, n_cols[act])
+        n_cols[act] += ~found
+        col_of[b] = j
+        old = cols[act, j]
+        cols[act, j] = np.concatenate([np.fmin(rel[b, :2], old[:, :2]), np.fmax(rel[b, 2:], old[:, 2:])], 1)
+
+    # column merge map (order.py:332-349): a child maps to the LAST parent
+    # holding more than the threshold of its area, others get fresh ids
+    cols = cols[:, : n_cols.max()]
+    width = cols.shape[1]
+    lo = np.maximum(cols[:, :, None, :2], cols[:, None, :, :2])
+    inter = np.prod(np.maximum(np.minimum(cols[:, :, None, 2:], cols[:, None, :, 2:]) - lo, 0.0), axis=-1)
+    area = np.maximum(cols[..., 2] - cols[..., 0], 0.0) * np.maximum(cols[..., 3] - cols[..., 1], 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        big = inter * (1.0 / area)[:, :, None] > ioa_column_threshold
+    big[:, np.arange(width), np.arange(width)] = False
+    has = big.any(2)
+    merge_map = np.where(has, width - 1 - big[:, :, ::-1].argmax(2), np.cumsum(~has, axis=1) - 1)
+
+    # surviving columns: distinct merge targets by value, first occurrence
+    # first (order.py:295-298)
+    cp, ci = np.nonzero(np.arange(width) < n_cols[:, None])
+    target = cols[cp, merge_map[cp, ci]]
+    o = np.lexsort((ci, *target.T[::-1], cp))
+    fresh = np.concatenate([[True], (cp[o][1:] != cp[o][:-1]) | (target[o][1:] != target[o][:-1]).any(1)])
+    first = np.sort(o[fresh])
+    surv, s_page = target[first], cp[first]
+    n_surv = np.bincount(s_page, minlength=pages)
+    s_offs = np.concatenate([[0], np.cumsum(n_surv)])
+
+    # connected components over the surviving columns (order.py:165-199):
+    # greedy, components kept sorted by top after every insertion
+    s_max = int(n_surv.max())
+    top, bottom = np.full((pages, s_max), np.nan), np.full((pages, s_max), np.nan)
+    comp_order = np.tile(np.arange(s_max), (pages, 1))
+    n_comps = np.zeros(pages, dtype=np.int64)
+    comp_of = np.empty(len(surv), dtype=np.int64)
+    for k in range(s_max):
+        act = np.flatnonzero(n_surv > k)
+        x = s_offs[act] + k
+        u, low = surv[x, 1][:, None], surv[x, 3][:, None]
+        o = comp_order[act]
+        t, bt = np.take_along_axis(top[act], o, 1), np.take_along_axis(bottom[act], o, 1)
+        hit = ((t < u) & (u < bt)) | ((t < low) & (low < bt)) | ((u < t) & (t < low)) | ((u < bt) & (bt < low))
+        pos = hit.argmax(1)
+        found = hit[np.arange(len(act)), pos]
+        slot = np.where(found, o[np.arange(len(act)), pos], n_comps[act])
+        n_comps[act] += ~found
+        top[act, slot] = np.fmin(top[act, slot], u[:, 0])
+        bottom[act, slot] = np.fmax(bottom[act, slot], low[:, 0])
+        comp_of[x] = slot
+        comp_order[act] = np.take_along_axis(
+            o, np.argsort(np.take_along_axis(top[act], o, 1), axis=1, kind="stable"), 1
+        )
+    comp_rank = np.empty_like(comp_order)
+    np.put_along_axis(comp_rank, comp_order, np.arange(s_max), 1)
+    # members by 2-decimal (ulx, uly), ties in insertion order; the flat
+    # position is the column's rank (order.py:303-306)
+    col_rank = np.empty(len(surv), dtype=np.int64)
+    members = np.lexsort((_round2(surv[:, 1]), _round2(surv[:, 0]), comp_rank[s_page, comp_of], s_page))
+    col_rank[members] = ranges(n_surv)
+
+    # blocks by the rank of their (merged) column — a merge-map value read
+    # as a surviving position, else as a column index (order.py:300-307) —
+    # then 2-decimal (uly, ulx), ties in scan order (order.py:351-371)
+    mapped = merge_map[page, col_of]
+    inside = mapped < n_surv[page]
+    rank = np.where(inside, col_rank[s_offs[page] + np.where(inside, mapped, 0)], merge_map[page, mapped])
+    order = np.lexsort((scan_pos, _round2(rel[:, 0]), _round2(rel[:, 1]), rank, page))
+    return order[(rank < n_surv[page])[order]]

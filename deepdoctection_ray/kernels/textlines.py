@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .reading_order import PARAGRAPH_BREAK, group_words_into_lines
+from .grams import segment_bounds
+from .reading_order import PARAGRAPH_BREAK, grid_pos, group_words_into_lines, row_ids
 
 
 def _merge_list(boxes: list[list[float]], members: list[int]) -> np.ndarray:
@@ -143,3 +144,53 @@ def _lines_rec(
                 else:
                     out.append((_merge_list(boxes, segment), segment, in_line))
     return out, None
+
+
+def batch_lines(
+    offs: np.ndarray,
+    rel: np.ndarray,
+    cx: np.ndarray,
+    cy: np.ndarray,
+    opener: np.ndarray,
+    paragraph_break: float = PARAGRAPH_BREAK,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`make_text_lines` in the real-pipeline mode (relative boxes,
+    ``width=1``, sub-lines on) for every run ``offs[s]:offs[s + 1]`` at once,
+    given the runs' rows (``reading_order.batch_row_openers``).
+
+    Returns ``(words, line_offs, line_boxes, split)``: the elements of every
+    line in in-line reading order, line by line in creation order (run by
+    run; each run's rows bottom-created first, as ``_lines_rec`` walks
+    them), the line offsets into ``words``, the line boxes, and per run
+    whether some sub-line spans more than one row.
+
+    A row's members are walked by ``ulx`` and cut where the gap reaches
+    ``paragraph_break``. ``_lines_rec`` groups every such sub-line again;
+    it comes back as ONE row iff each member passes the row test against
+    the band of the sub-line's first member, which opens that row, and then
+    its word order is ``cx`` order. A run where that fails (``split``) keeps
+    the nested split the per-page chain computes."""
+    seg = np.repeat(np.arange(len(offs) - 1), np.diff(offs))
+    row = row_ids(opener)
+    # members by (run, row from the last created, ulx, cx, input order); ulx
+    # is on the fixed-point grid, so one integer key orders all but exact ties
+    last = np.concatenate([[0], np.cumsum(opener == np.arange(len(opener)))])
+    key = ((last[offs[:-1]] + last[offs[1:]])[seg] - row) << 32 | grid_pos(rel[:, 0])
+    o = np.argsort(key)
+    if (key[o][1:] == key[o][:-1]).any():
+        o = np.lexsort((cx, rel[:, 0], -row, seg))
+    x0, y0, x1, y1 = rel[o].T
+    start = np.ones(len(o), dtype=bool)
+    start[1:] = (row[o][1:] != row[o][:-1]) | ~(x0[1:] - x1[:-1] < paragraph_break)
+    line = np.cumsum(start) - 1
+    first = np.flatnonzero(start)
+    top, bottom = y0[first][line], y1[first][line]
+    mid, c = (top + bottom) / 2.0, cy[o]
+    one_row = start | ((top < c) & (c < bottom)) | ((y0 < mid) & (mid < y1))
+    split = np.zeros(len(offs) - 1, dtype=bool)
+    split[seg[o][~one_row]] = True
+    line_offs = np.concatenate([first, [len(o)]])
+    cx = cx[o]
+    ordered = (cx[1:] >= cx[:-1]) | start[1:]  # mostly ulx order is already cx order
+    in_line = o if ordered.all() else o[np.lexsort((cx, line))]
+    return in_line, line_offs, segment_bounds(rel[o], line_offs), split

@@ -38,6 +38,7 @@ from ..stages.extract import TurnExtractor, conv_partition_ids
 from .checkpoint import clear_output, completed_partitions, write_partition
 
 TRANSCRIPT_COLUMNS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
+EXTRACT_KINDS = ("page", "html", "plain")  # the payload groups TurnExtractor times
 
 
 def read_transcripts(path: str | list[str]) -> ray.data.Dataset:
@@ -150,12 +151,17 @@ def _extract_and_write_partition(
     sort_s = time.perf_counter() - t0
     part_id = ordered["part_id"][0].as_py()
     t0 = time.perf_counter()
-    extracted = TurnExtractor()(ordered.combine_chunks())
+    extractor = TurnExtractor()
+    extracted = extractor(ordered.combine_chunks())
     extract_s = time.perf_counter() - t0
+    extra = {"extract_sec": round(extract_s, 3)}
+    try:  # a counter never fails the partition
+        by_kind = {kind: float(extractor.sec_by_kind[kind]) for kind in EXTRACT_KINDS}
+        extra["extract_sec_by_kind"] = {kind: round(sec, 3) for kind, sec in by_kind.items()}
+    except Exception:
+        by_kind = dict.fromkeys(EXTRACT_KINDS, 0.0)
     t0 = time.perf_counter()
-    lineage = write_partition(
-        output_dir, part_id, extracted, extra_lineage={"extract_sec": round(extract_s, 3)}
-    )
+    lineage = write_partition(output_dir, part_id, extracted, extra_lineage=extra)
     write_s = time.perf_counter() - t0
     return pa.table(
         {
@@ -165,6 +171,7 @@ def _extract_and_write_partition(
             "sort_sec": pa.array([sort_s], pa.float64()),
             "extract_sec": pa.array([extract_s], pa.float64()),
             "write_sec": pa.array([write_s], pa.float64()),
+            **{f"extract_{kind}_sec": pa.array([sec], pa.float64()) for kind, sec in by_kind.items()},
         }
     )
 
@@ -178,6 +185,12 @@ def run_extraction(
     chaos_kill_once: str | None = None,
 ) -> dict:
     """Checkpointed end-to-end run; returns a summary dict.
+
+    The summary sums the partitions' stage seconds (``sort_core_sec``,
+    ``extract_core_sec``, ``write_core_sec``) and their extraction seconds
+    per payload group (``extract_core_sec_by_kind``: ``page``, ``html``,
+    ``plain``), which each partition's lineage JSON also holds as
+    ``extract_sec_by_kind``.
 
     ``salt_span``: break conversations into ``salt_span``-turn ranges before
     hashing, so one pathologically hot conv_id cannot exceed a partition's
@@ -246,4 +259,7 @@ def run_extraction(
         "sort_core_sec": round(sum(r["sort_sec"] for r in rows), 2),
         "extract_core_sec": round(sum(r["extract_sec"] for r in rows), 2),
         "write_core_sec": round(sum(r["write_sec"] for r in rows), 2),
+        "extract_core_sec_by_kind": {
+            kind: round(sum(r[f"extract_{kind}_sec"] for r in rows), 2) for kind in EXTRACT_KINDS
+        },
     }

@@ -2778,7 +2778,7 @@ def q_token_classes(sf_dir: str) -> ray.data.Dataset:
 
     docs = _t(sf_dir, "documents", columns=["doc_id", "text"])
     out = extract_turns(docs)
-    out = out.map_batches(TokenClassifier, batch_format="pyarrow", concurrency=(1, 4))
+    out = out.map_batches(TokenClassifier(), batch_format="pyarrow")
 
     def counts(batch: pa.Table) -> pa.Table:
         n_tok, n_num = [], []
@@ -2818,7 +2818,7 @@ def q_doc_type(sf_dir: str) -> ray.data.Dataset:
     from .stages.classify import SequenceClassifier
 
     out = extract_turns(_layout_docs_ds())
-    out = out.map_batches(SequenceClassifier, batch_format="pyarrow", concurrency=(1, 2))
+    out = out.map_batches(SequenceClassifier(), batch_format="pyarrow")
     return out.select_columns(["doc_id", "doc_type"])
 
 
@@ -3733,7 +3733,7 @@ def q_entities(sf_dir: str) -> ray.data.Dataset:
     fixtures.ensure_fixtures()
     docs = ray.data.read_parquet(fixtures.path("entity_docs"))
     out = extract_turns(docs)
-    out = out.map_batches(TokenClassifier, batch_format="pyarrow", concurrency=(1, 4))
+    out = out.map_batches(TokenClassifier(), batch_format="pyarrow")
     return out.map_batches(entity_rows, batch_format="pyarrow")
 
 

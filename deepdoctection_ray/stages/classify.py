@@ -4,9 +4,12 @@ Analogs of ``LMTokenClassifierService`` (``pipe/lm.py:41-285``: word-level
 class sub-categories) and ``LMSequenceClassifierService``
 (``pipe/lm.py:290-427``: page-level document type) with the HF models swapped
 for deterministic rule classifiers — no model weights exist in this
-environment, but the stage shape (actor pool, tokenizer state in ``__init__``,
-word-aligned outputs) is the real contract; drop a model into the actor to
-upgrade.
+environment, but the stage shape (state in ``__init__``, word-aligned
+outputs) is the real contract. Both hold only compiled patterns, so callers
+map an INSTANCE (``map_batches(TokenClassifier(), ...)``) and Ray runs it as
+tasks: an actor pool after the extraction tasks can hold a 1-CPU session's
+only CPU while the tasks it waits on never run. A real model would move
+back into an actor pool.
 
 For a genuinely TRAINED sequence classifier with the same actor-pool
 contract, see ``stages/nbayes.py`` (distributed-trained multinomial Naive

@@ -141,7 +141,9 @@ class TurnExtractor:
     """Batch extractor: a callable holding the extraction settings.
 
     Map it through ``pipelines.extraction.extract_turns``, which passes an
-    instance to ``map_batches`` so Ray runs it as tasks.
+    instance to ``map_batches`` so Ray runs it as tasks. After a call,
+    ``sec_by_kind`` holds the seconds its ``page``, ``html`` and ``plain``
+    rows took.
     """
 
     def __init__(
@@ -157,10 +159,11 @@ class TurnExtractor:
         self._keep_payload = keep_payload
         self._text_column = text_column
         self._deskew = deskew
+        self.sec_by_kind: dict[str, float] = {}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         texts = [t if t is not None else "" for t in batch.column(self._text_column).to_pylist()]
-        blocks, kinds, errors = extract_blocks(
+        blocks, kinds, errors, self.sec_by_kind = extract_blocks(
             texts, [classify_payload(t) for t in texts], self._mld, self._pb, self._deskew
         )
         extracted, spans, block_lists = assemble_batch(blocks)

@@ -55,6 +55,13 @@ def test_extraction_matches_oracle(ray_session, small_transcripts, tmp_path):
     exp = [(g["conv_id"], g["turn_idx"], g["extracted_text"], g["payload_kind"]) for g in golden]
     assert got == exp  # per-turn text equality, all payload kinds
 
+    # per-kind extraction seconds: in every lineage file and summed in the summary
+    for lin in read_lineage(out_dir):
+        by_kind = lin["extract_sec_by_kind"]
+        assert set(by_kind) == {"page", "html", "plain"} and min(by_kind.values()) >= 0
+        assert sum(by_kind.values()) <= lin["extract_sec"] + 0.003  # each rounded to 1 ms
+    assert set(summary["extract_core_sec_by_kind"]) == {"page", "html", "plain"}
+
     # spans index into the extracted text correctly
     for row_spans, row_text in zip(table["spans"].to_pylist(), table["extracted_text"].to_pylist()):
         for s in row_spans:
@@ -187,3 +194,28 @@ def test_run_extraction_auto_partitions(ray_session, tmp_path):
     assert s["partitions_written"] == 16  # floor of the auto rule
     assert s["errors"] == 0
     assert len([f for f in os.listdir(out) if f.startswith("_SUCCESS.")]) == 16
+
+
+def test_kind_timing_failure_never_fails_the_partition(monkeypatch, tmp_path):
+    """A TurnExtractor whose per-kind seconds cannot be read still writes its
+    partition: the lineage just lacks ``extract_sec_by_kind`` and the
+    summary row counts zeros."""
+    import pyarrow as pa
+
+    from deepdoctection_ray.pipelines import extraction
+    from deepdoctection_ray.stages.extract import TurnExtractor
+
+    class NoTimings(TurnExtractor):
+        def __call__(self, batch):
+            out = super().__call__(batch)
+            self.sec_by_kind = None
+            return out
+
+    monkeypatch.setattr(extraction, "TurnExtractor", NoTimings)
+    table = make_transcripts(n_convs=3, seed=1)
+    table = table.append_column("part_id", pa.array([0] * table.num_rows, pa.int32()))
+    row = extraction._extract_and_write_partition(table, str(tmp_path)).to_pylist()[0]
+    assert row["n_rows"] == table.num_rows
+    assert [row[f"extract_{k}_sec"] for k in ("page", "html", "plain")] == [0.0, 0.0, 0.0]
+    [lin] = read_lineage(str(tmp_path))
+    assert lin["n_rows"] == table.num_rows and "extract_sec_by_kind" not in lin

@@ -1,9 +1,10 @@
-"""The extraction entry points finish on a 1-CPU Ray session.
+"""The extraction entry points, and the classifier stages that follow them
+in ``q_doc_type`` and ``q_entities``, finish on a 1-CPU Ray session.
 
 An actor pool downstream of CPU tasks can hold the only CPU while the read,
-tag and sort tasks it waits on never get scheduled. The run happens in a
-child process with its own ``ray.init(num_cpus=1)`` under a hard timeout, so
-a hang fails this test instead of hanging the suite.
+tag, sort and extraction tasks it waits on never get scheduled. The run
+happens in a child process with its own ``ray.init(num_cpus=1)`` under a
+hard timeout, so a hang fails this test instead of hanging the suite.
 """
 
 from __future__ import annotations
@@ -25,14 +26,16 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHILD = """
 import json, sys
 import ray
-from deepdoctection_ray import fixtures
+from deepdoctection_ray import fixtures, queries
 from deepdoctection_ray.pipelines.extraction import extract_turns, read_transcripts, run_extraction
 
 ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
 summary = run_extraction(fixtures.TRANSCRIPTS_DIR, sys.argv[1], num_partitions=8, resume=False)
 mapped = extract_turns(read_transcripts(fixtures.TRANSCRIPTS_DIR)).materialize().count()
+doc_types = queries.q_doc_type("").count()  # extraction tasks, then the classifier stages
+entities = queries.q_entities("").count()
 print(json.dumps({"rows_written": summary["rows_written"], "errors": summary["errors"],
-                  "mapped": mapped}))
+                  "mapped": mapped, "doc_types": doc_types, "entities": entities}))
 """
 
 
@@ -58,4 +61,6 @@ def test_extraction_finishes_on_one_cpu(tmp_path):
         pytest.fail(f"extraction did not finish within {TIMEOUT_S} s on a 1-CPU session")
     assert proc.returncode == 0, err[-2000:]
     result = json.loads(out.strip().splitlines()[-1])
-    assert result == {"rows_written": rows, "errors": 0, "mapped": rows}
+    assert result.pop("entities") > 0
+    layout_docs = pq.read_table(fixtures.path("layout_docs"), columns=["doc_id"]).num_rows
+    assert result == {"rows_written": rows, "errors": 0, "mapped": rows, "doc_types": layout_docs}

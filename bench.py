@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Benchmark harness.
 
-Headline: the flagship extraction pipeline (read → actor-pool extract →
-partition shuffle → checkpointed parquet write) over a deterministic synthetic
-transcript corpus (~200k turns). Also times a representative query set over
+Headline: the flagship extraction pipeline (read and tag, one task per file →
+partition shuffle on known boundaries → extract and checkpointed parquet
+write, one task per partition) over a deterministic synthetic transcript
+corpus (~1M turns). Also times a representative query set over
 ``$GRAFT_SF_DIR`` (default /root/testdata/sf0.1).
 
 Prints ONE JSON line:

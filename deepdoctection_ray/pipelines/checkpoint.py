@@ -62,8 +62,8 @@ def clear_output(output_dir: str) -> None:
 def write_partition(output_dir: str, part_id: int, table: pa.Table, extra_lineage: dict | None = None) -> dict:
     """Atomically write one partition + lineage + marker; returns the lineage.
 
-    Duplicate-finalize handling: Ray retries failed ``map_groups`` tasks, so a
-    worker killed after finalizing but before its output block commits may
+    Duplicate-finalize handling: Ray retries failed partition-writer tasks, so
+    a worker killed after finalizing but before its output block commits may
     legitimately re-run. If the success marker exists and the already-written
     partition holds *identical content*, the re-write is silently skipped (the
     retry case — extraction is deterministic, so a retry's rows are the

@@ -2,19 +2,20 @@
 
 Shape (all streaming, one exchange, every stage a Ray task):
 
-    read_parquet (pruned columns)
-      → map_batches(add part_id, filter finished partitions)
-      → groupby(part_id).map_groups(sort by conv_id, turn_idx;
-                                    extract; write partition + lineage)
+    read_parquet (pruned columns, one read task per input file)
+      → map_batches(add part_id, filter finished partitions)   [fused with the read]
+      → sort(part_id, boundaries=[1, …, P])                   [block i = partition i]
+      → map_batches(sort by conv_id, turn_idx; extract; write partition + lineage)
 
 The single shuffle is keyed by ``part_id = crc32(conv_id) % P`` and carries
 the flat INPUT rows only: the nested span/block columns are produced after
-the exchange, next to the parquet writer. In-group sorting restores stable
-turn order (the cross-record analog of the reference's ``TextOrderService``;
-the reference itself loses stream order under parallel maps, SURVEY.md
-§2.10, and re-establishes order per record only — here order is
-re-established per conversation by key, never by stream position). A
-conversation with millions of turns is bounded by its partition, and
+the exchange, next to the parquet writer. The key's domain is known, so
+its boundaries are given, never sampled. In-partition sorting restores
+stable turn order (the cross-record analog of the reference's
+``TextOrderService``; the reference itself loses stream order under parallel
+maps, SURVEY.md §2.10, and re-establishes order per record only — here
+order is re-established per conversation by key, never by stream position).
+A conversation with millions of turns is bounded by its partition, and
 partition counts are uniform under the hash; P scales with the cluster
 (P ≈ 4-8x task slots).
 
@@ -122,18 +123,31 @@ def assemble_conversations(
     )
 
 
+_SUMMARY_SCHEMA = pa.schema(
+    [("part_id", pa.int32()), ("n_rows", pa.int64()), ("n_errors", pa.int64())]
+    + [(f"{stage}_sec", pa.float64()) for stage in ("sort", "extract", "write")]
+    + [(f"extract_{kind}_sec", pa.float64()) for kind in EXTRACT_KINDS]
+)
+
+
 def _extract_and_write_partition(
     batch: pa.Table, output_dir: str, chaos_kill_once: str | None = None
 ) -> pa.Table:
     """Fused per-partition finisher: sort → extract → write → summary row.
 
-    Receives exactly one complete partition of INPUT rows per call: the sort
-    shuffle co-locates each part_id in one block, and ``map_groups`` slices
-    the block into its groups before calling the UDF. The expensive nested
-    output columns (spans/blocks) are produced AFTER the shuffle and go
-    straight to parquet — they never cross the object store. The partition
-    is sorted by (conv_id, turn_idx) and written atomically.
+    Receives one block of the boundary sort: one complete partition of INPUT
+    rows. A 0-row block (past the last boundary, or a partition finished
+    before a resume; Ray 2.49 skips these) writes nothing and returns a typed
+    0-row summary. A block holding two part_ids raises rather than write
+    them as one. The nested output columns (spans/blocks) are produced
+    AFTER the shuffle and go straight to parquet; the partition is sorted by
+    (conv_id, turn_idx) and written atomically.
     """
+    if batch.num_rows == 0:
+        return _SUMMARY_SCHEMA.empty_table()
+    part_ids = pc.unique(batch["part_id"]).to_pylist()
+    if len(part_ids) > 1:
+        raise ValueError(f"one partition per block, got part_ids {sorted(part_ids)}")
     if chaos_kill_once:
         # fault-injection surface (chaos test): the FIRST task to reach this
         # point claims the sentinel atomically, then dies mid-task exactly
@@ -149,7 +163,6 @@ def _extract_and_write_partition(
     t0 = time.perf_counter()
     ordered = batch.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
     sort_s = time.perf_counter() - t0
-    part_id = ordered["part_id"][0].as_py()
     t0 = time.perf_counter()
     extractor = TurnExtractor()
     extracted = extractor(ordered.combine_chunks())
@@ -161,19 +174,24 @@ def _extract_and_write_partition(
     except Exception:
         by_kind = dict.fromkeys(EXTRACT_KINDS, 0.0)
     t0 = time.perf_counter()
-    lineage = write_partition(output_dir, part_id, extracted, extra_lineage=extra)
+    lineage = write_partition(output_dir, part_ids[0], extracted, extra_lineage=extra)
     write_s = time.perf_counter() - t0
-    return pa.table(
-        {
-            "part_id": pa.array([part_id], pa.int32()),
-            "n_rows": pa.array([lineage["n_rows"]], pa.int64()),
-            "n_errors": pa.array([lineage["n_errors"]], pa.int64()),
-            "sort_sec": pa.array([sort_s], pa.float64()),
-            "extract_sec": pa.array([extract_s], pa.float64()),
-            "write_sec": pa.array([write_s], pa.float64()),
-            **{f"extract_{kind}_sec": pa.array([sec], pa.float64()) for kind, sec in by_kind.items()},
-        }
-    )
+    row = [part_ids[0], lineage["n_rows"], lineage["n_errors"], sort_s, extract_s, write_s]
+    row += [by_kind[kind] for kind in EXTRACT_KINDS]
+    return pa.table([[value] for value in row], schema=_SUMMARY_SCHEMA)
+
+
+def _input_listing(input_path: str | list[str]) -> tuple[int, int]:
+    """(file count, byte total) of the parquet files ``read_parquet`` reads
+    from ``input_path``: pyarrow dataset discovery, as Ray lists them —
+    nested directories included, ``_``/``.`` files (``_meta.json``) skipped."""
+    import pyarrow.dataset as pads
+
+    if not isinstance(input_path, str) and len(input_path) == 1:
+        input_path = input_path[0]  # a one-element list may name a directory
+    listing = pads.dataset(input_path, format="parquet")
+    sizes = [info.size for info in listing.filesystem.get_file_info(listing.files)]
+    return len(sizes), sum(sizes)
 
 
 def run_extraction(
@@ -196,11 +214,12 @@ def run_extraction(
     hashing, so one pathologically hot conv_id cannot exceed a partition's
     budget (see :func:`conv_partition_ids`).
 
-    Stage shape: read → tag/filter (stateless) → sort-shuffle the FLAT input
-    rows by part_id → one fused task per partition (sort, extract, write,
-    lineage). Shuffling before extraction keeps the exchange payload to the
-    input columns (flat strings — cheap to slice/serialize); the nested
-    span/block columns are born next to the parquet writer.
+    Stage shape: read (one task per input file) → tag/filter (stateless,
+    fused with the read) → sort-shuffle the FLAT input rows on the known
+    boundaries ``[1, …, P]`` → one fused task per partition (sort, extract,
+    write, lineage). Shuffling before extraction keeps the exchange payload
+    to the input columns (flat strings — cheap to slice/serialize); the
+    nested span/block columns are born next to the parquet writer.
 
     A rerun after failure skips partitions that already have a success marker
     (their input rows are dropped at the read stage, before any work).
@@ -208,19 +227,14 @@ def run_extraction(
     ``num_partitions=None`` derives the count from the input's parquet bytes
     via :func:`..functions.bucketed.auto_num_buckets` (~64 MiB of input per
     partition, clamped to [16, 4096]) — deterministic for a given input, so
-    resume stays consistent across runs of the same corpus.
+    resume stays consistent across runs of the same corpus. The bytes and
+    the read fan-out come from one listing of the files the read sees.
     """
+    num_files, num_bytes = _input_listing(input_path)
     if num_partitions is None:
-        import glob as _glob
-
         from ..functions.bucketed import auto_num_buckets
 
-        paths = [input_path] if isinstance(input_path, str) else list(input_path)
-        total = 0
-        for p in paths:
-            files = _glob.glob(os.path.join(p, "*.parquet")) if os.path.isdir(p) else [p]
-            total += sum(os.path.getsize(f) for f in files if os.path.exists(f))
-        num_partitions = auto_num_buckets(total)
+        num_partitions = auto_num_buckets(num_bytes)
     if resume:
         done = completed_partitions(output_dir)
     else:
@@ -238,18 +252,21 @@ def run_extraction(
             batch = batch.filter(mask)
         return batch
 
-    # batch_size=None: the tag stage maps whole blocks — re-chunking here
-    # fragments the shuffle into thousands of tiny per-partition slices and
-    # object-store overhead swamps the exchange (8x slower, measured)
-    ds = read_transcripts(input_path).map_batches(
-        tag_and_filter, batch_format="pyarrow", batch_size=None
-    )
-    summary = ds.groupby("part_id").map_groups(
+    # One read block per file: Ray fuses an unsplit read with the tag map
+    # into one task per file (a split read never fuses). batch_size=None:
+    # re-chunking here fragments the shuffle into tiny per-partition slices.
+    ds = ray.data.read_parquet(
+        input_path, columns=TRANSCRIPT_COLUMNS, override_num_blocks=max(num_files, 1)
+    ).map_batches(tag_and_filter, batch_format="pyarrow", batch_size=None)
+    # Explicit int boundaries skip Ray's sampling (an empty list samples):
+    # block i holds exactly partition i, and block P is always empty.
+    summary = ds.sort("part_id", boundaries=list(range(1, num_partitions + 1))).map_batches(
         _extract_and_write_partition,
         batch_format="pyarrow",
+        batch_size=None,
         fn_kwargs={"output_dir": output_dir, "chaos_kill_once": chaos_kill_once},
     )
-    rows = summary.take_all()  # small: one row per partition
+    rows = summary.take_all()  # small: one row per partition written
     return {
         "partitions_written": len(rows),
         "partitions_skipped": len(done),

@@ -219,3 +219,123 @@ def test_kind_timing_failure_never_fails_the_partition(monkeypatch, tmp_path):
     assert [row[f"extract_{k}_sec"] for k in ("page", "html", "plain")] == [0.0, 0.0, 0.0]
     [lin] = read_lineage(str(tmp_path))
     assert lin["n_rows"] == table.num_rows and "extract_sec_by_kind" not in lin
+
+
+def _write_split(path, table, slices):
+    """Write ``table`` as one parquet file per ``(relative name, start, stop)``
+    slice, plus a ``_meta.json`` that no reader may take for data."""
+    import json
+
+    for name, start, stop in slices:
+        os.makedirs(os.path.dirname(os.path.join(path, name)), exist_ok=True)
+        pq.write_table(table.slice(start, stop - start), os.path.join(path, name))
+    with open(os.path.join(path, "_meta.json"), "w") as fh:
+        json.dump({"note": "not a data file"}, fh)
+    return path
+
+
+def _partitions(output_dir):
+    return {
+        f: pq.read_table(os.path.join(output_dir, f))
+        for f in sorted(os.listdir(output_dir))
+        if f.endswith(".parquet")
+    }
+
+
+def test_nested_listing_sizes_and_reads_every_file(ray_session, tmp_path, monkeypatch):
+    """One listing feeds both P and the read fan-out: a nested file and an
+    empty file are read, ``_meta.json`` is not, and the auto partition count
+    sees every data file's bytes."""
+    from deepdoctection_ray.functions import bucketed
+    from deepdoctection_ray.pipelines.extraction import run_extraction
+
+    table = make_transcripts(n_convs=40, seed=42, hot_factor=10)
+    n = table.num_rows
+    src = _write_split(
+        str(tmp_path / "nested"),
+        table,
+        [("top.parquet", 0, n // 3), ("empty.parquet", 0, 0), ("sub/deep.parquet", n // 3, n)],
+    )
+    seen = []
+    auto = bucketed.auto_num_buckets
+    monkeypatch.setattr(bucketed, "auto_num_buckets", lambda b: seen.append(b) or auto(b))
+    s = run_extraction(src, str(tmp_path / "out"), num_partitions=None, resume=False)
+    assert s["rows_written"] == n and s["partitions_written"] == 16
+    files = ("top.parquet", "empty.parquet", "sub/deep.parquet")
+    assert seen == [sum(os.path.getsize(os.path.join(src, f)) for f in files)]
+
+
+@pytest.mark.parametrize("salt_span", [None, 16])
+def test_file_fan_out_gives_equal_partitions(ray_session, tmp_path, salt_span):
+    """The same transcripts as one file and as three (one empty, one nested)
+    write Table.equals partitions."""
+    from deepdoctection_ray.pipelines.extraction import run_extraction
+
+    table = make_transcripts(n_convs=40, seed=42, hot_factor=10)
+    n = table.num_rows
+    one = _write_split(str(tmp_path / "one"), table, [("all.parquet", 0, n)])
+    three = _write_split(
+        str(tmp_path / "three"),
+        table,
+        [("a.parquet", 0, n // 2), ("b.parquet", 0, 0), ("sub/c.parquet", n // 2, n)],
+    )
+    outs = []
+    for src in (one, three):
+        out = str(tmp_path / f"out_{os.path.basename(src)}")
+        run_extraction(src, out, num_partitions=8, resume=False, salt_span=salt_span)
+        outs.append(_partitions(out))
+    assert list(outs[0]) == list(outs[1]) and len(outs[0]) == 8
+    assert all(outs[0][f].equals(outs[1][f]) for f in outs[0])
+
+
+@pytest.mark.parametrize("num_partitions, n_convs", [(1, 40), (64, 60)])
+def test_boundary_sort_writes_each_nonempty_partition(ray_session, tmp_path, num_partitions, n_convs):
+    """Every non-empty partition is written once, and only those: P=1 puts
+    the corpus in one file; P=64 over 60 conversations leaves 12 empty."""
+    from deepdoctection_ray.pipelines.extraction import run_extraction
+    from deepdoctection_ray.stages.extract import conv_partition_ids
+
+    table = make_transcripts(n_convs=n_convs, seed=7, hot_factor=10)
+    src = _write_split(str(tmp_path / "src"), table, [("t.parquet", 0, table.num_rows)])
+    expected = set(conv_partition_ids(table["conv_id"], num_partitions).tolist())
+    out = str(tmp_path / "out")
+    s = run_extraction(src, out, num_partitions=num_partitions, resume=False)
+    assert s["partitions_written"] == len(expected) == {1: 1, 64: 52}[num_partitions]
+    assert completed_partitions(out) == expected
+    assert s["rows_written"] == table.num_rows
+
+
+def test_resume_with_one_partition_left(ray_session, small_transcripts, tmp_path):
+    """All but one partition done: the finished ones are dropped at the tag,
+    their sort blocks are empty, and only the missing one is written again."""
+    from deepdoctection_ray.pipelines.extraction import run_extraction
+
+    out = str(tmp_path / "resume_one")
+    full = run_extraction(small_transcripts, out, num_partitions=8, resume=False)
+    before = _partitions(out)
+    for name in ("part-00005.parquet", "part-00005.lineage.json", "_SUCCESS.00005"):
+        os.remove(os.path.join(out, name))
+    again = run_extraction(small_transcripts, out, num_partitions=8, resume=True)
+    assert (again["partitions_written"], again["partitions_skipped"]) == (1, 7)
+    assert again["rows_written"] == before["part-00005.parquet"].num_rows
+    after = _partitions(out)
+    assert list(after) == list(before) and all(after[f].equals(before[f]) for f in before)
+    assert full["rows_written"] == sum(t.num_rows for t in after.values())
+
+
+def test_partition_writer_block_guard(tmp_path):
+    """A 0-row block writes nothing and returns the typed empty summary; a
+    block holding two partitions raises instead of writing them as one."""
+    import pyarrow as pa
+
+    from deepdoctection_ray.pipelines import extraction
+
+    table = make_transcripts(n_convs=3, seed=1)
+    ids = [i % 2 for i in range(table.num_rows)]
+    table = table.append_column("part_id", pa.array(ids, pa.int32()))
+    empty = extraction._extract_and_write_partition(table.slice(0, 0), str(tmp_path))
+    assert empty.num_rows == 0 and empty.schema == extraction._SUMMARY_SCHEMA
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        extraction._extract_and_write_partition(table, str(tmp_path))
+    assert os.listdir(tmp_path) == []

@@ -1,11 +1,12 @@
 """The flagship pipeline: transcripts parquet → extracted turns parquet.
 
-Shape (all streaming, one exchange, every stage a Ray task):
+Shape (one exchange, every stage a Ray task):
 
     read_parquet (pruned columns, one read task per input file)
       → map_batches(add part_id, filter finished partitions)   [fused with the read]
-      → sort(part_id, boundaries=[1, …, P])                   [block i = partition i]
-      → map_batches(sort by conv_id, turn_idx; extract; write partition + lineage)
+      → sort(part_id, boundaries=[1, …, P-1])                 [block i = partition i]
+      → one Ray task per non-empty block, all submitted at once:
+        sort by conv_id, turn_idx; extract; write partition + lineage
 
 The single shuffle is keyed by ``part_id = crc32(conv_id) % P`` and carries
 the flat INPUT rows only: the nested span/block columns are produced after
@@ -20,9 +21,10 @@ partition counts are uniform under the hash; P scales with the cluster
 (P ≈ 4-8x task slots).
 
 Extraction holds no state worth an actor (every reference component is a
-stateless per-record map, SURVEY.md §2.3), so it runs as tasks: Ray Data
-sizes task parallelism to the free CPUs, and no pool can hold the only CPU
-of a small session while the read, tag and sort tasks wait.
+stateless per-record map, SURVEY.md §2.3), so it runs as tasks. The
+partitions need nothing but their block, so they are plain Ray tasks: Ray
+core hands a worker its next partition as soon as it reports one done, where
+Ray Data's executor sees a finished task only at its next 0.1 s poll.
 """
 
 from __future__ import annotations
@@ -136,12 +138,12 @@ def _extract_and_write_partition(
     """Fused per-partition finisher: sort → extract → write → summary row.
 
     Receives one block of the boundary sort: one complete partition of INPUT
-    rows. A 0-row block (past the last boundary, or a partition finished
-    before a resume; Ray 2.49 skips these) writes nothing and returns a typed
-    0-row summary. A block holding two part_ids raises rather than write
-    them as one. The nested output columns (spans/blocks) are produced
-    AFTER the shuffle and go straight to parquet; the partition is sorted by
-    (conv_id, turn_idx) and written atomically.
+    rows. ``run_extraction`` submits non-empty blocks only; a 0-row block
+    from a direct caller writes nothing and returns a typed 0-row summary.
+    A block holding two part_ids raises rather than write them as one. The
+    nested output columns (spans/blocks) are produced AFTER the shuffle and
+    go straight to parquet; the partition is sorted by (conv_id, turn_idx)
+    and written atomically.
     """
     if batch.num_rows == 0:
         return _SUMMARY_SCHEMA.empty_table()
@@ -181,6 +183,12 @@ def _extract_and_write_partition(
     return pa.table([[value] for value in row], schema=_SUMMARY_SCHEMA)
 
 
+# Ray Data's task retries: a partition whose worker dies runs again.
+_partition_task = ray.remote(max_retries=-1, retry_exceptions=[ray.exceptions.RaySystemError])(
+    _extract_and_write_partition
+)
+
+
 def _input_listing(input_path: str | list[str]) -> tuple[int, int]:
     """(file count, byte total) of the parquet files ``read_parquet`` reads
     from ``input_path``: pyarrow dataset discovery, as Ray lists them —
@@ -208,7 +216,8 @@ def run_extraction(
     ``extract_core_sec``, ``write_core_sec``) and their extraction seconds
     per payload group (``extract_core_sec_by_kind``: ``page``, ``html``,
     ``plain``), which each partition's lineage JSON also holds as
-    ``extract_sec_by_kind``.
+    ``extract_sec_by_kind``. Walls: ``shuffle_sec`` until every partition
+    block exists (read, tag, sort), ``drain_sec`` for the partition tasks.
 
     ``salt_span``: break conversations into ``salt_span``-turn ranges before
     hashing, so one pathologically hot conv_id cannot exceed a partition's
@@ -216,10 +225,11 @@ def run_extraction(
 
     Stage shape: read (one task per input file) → tag/filter (stateless,
     fused with the read) → sort-shuffle the FLAT input rows on the known
-    boundaries ``[1, …, P]`` → one fused task per partition (sort, extract,
-    write, lineage). Shuffling before extraction keeps the exchange payload
-    to the input columns (flat strings — cheap to slice/serialize); the
-    nested span/block columns are born next to the parquet writer.
+    boundaries ``[1, …, P-1]`` → one fused Ray task per non-empty partition
+    (sort, extract, write, lineage), all submitted at once. Shuffling before
+    extraction keeps the exchange payload to the input columns (flat
+    strings — cheap to slice/serialize); the nested span/block columns are
+    born next to the parquet writer.
 
     A rerun after failure skips partitions that already have a success marker
     (their input rows are dropped at the read stage, before any work).
@@ -230,6 +240,7 @@ def run_extraction(
     resume stays consistent across runs of the same corpus. The bytes and
     the read fan-out come from one listing of the files the read sees.
     """
+    start = time.perf_counter()
     num_files, num_bytes = _input_listing(input_path)
     if num_partitions is None:
         from ..functions.bucketed import auto_num_buckets
@@ -259,20 +270,20 @@ def run_extraction(
         input_path, columns=TRANSCRIPT_COLUMNS, override_num_blocks=max(num_files, 1)
     ).map_batches(tag_and_filter, batch_format="pyarrow", batch_size=None)
     # Explicit int boundaries skip Ray's sampling (an empty list samples):
-    # block i holds exactly partition i, and block P is always empty.
-    summary = ds.sort("part_id", boundaries=list(range(1, num_partitions + 1))).map_batches(
-        _extract_and_write_partition,
-        batch_format="pyarrow",
-        batch_size=None,
-        fn_kwargs={"output_dir": output_dir, "chaos_kill_once": chaos_kill_once},
-    )
-    rows = summary.take_all()  # small: one row per partition written
+    # block i holds exactly partition i (P = 1 sorts on [1]: one empty block).
+    blocks = ds.sort("part_id", boundaries=list(range(1, max(num_partitions, 2))))
+    refs = [ref for b in blocks.iter_internal_ref_bundles() for ref, m in b.blocks if m.num_rows]
+    shuffled = time.perf_counter()
+    tasks = [_partition_task.remote(ref, output_dir, chaos_kill_once) for ref in refs]
+    rows = [row for table in ray.get(tasks) for row in table.to_pylist()]
     return {
         "partitions_written": len(rows),
         "partitions_skipped": len(done),
         "rows_written": int(sum(r["n_rows"] for r in rows)),
         "errors": int(sum(r["n_errors"] for r in rows)),
         "output_dir": output_dir,
+        "shuffle_sec": round(shuffled - start, 3),
+        "drain_sec": round(time.perf_counter() - shuffled, 3),
         "sort_core_sec": round(sum(r["sort_sec"] for r in rows), 2),
         "extract_core_sec": round(sum(r["extract_sec"] for r in rows), 2),
         "write_core_sec": round(sum(r["write_sec"] for r in rows), 2),

@@ -59,8 +59,9 @@ def conv_partition_ids(
 ) -> np.ndarray:
     """Stable partition id per row: ``crc32(conv_id) % P``.
 
-    crc32 is a C single-call per row (~100ns); identical across processes and
-    runs (unlike ``hash()``), which is what resumable partitioning needs.
+    crc32 runs once per DISTINCT key (identical across processes and runs,
+    unlike ``hash()``, which is what resumable partitioning needs); the rows
+    take their key's id back by its index among the distinct keys.
 
     With ``salt_span`` set, the key becomes ``conv_id # turn_idx//salt_span``:
     a conversation larger than one partition's budget splits into fixed
@@ -73,15 +74,26 @@ def conv_partition_ids(
     ``conv_id`` as ``""``, a null ``turn_idx`` as an empty range), so its row
     lands in a deterministic partition and is written like any other.
     """
-    keys = pc.fill_null(conv_ids, "").to_pylist()
+    keys = pc.fill_null(conv_ids, "")
+    distinct = pc.unique(keys)
+    codes = np.asarray(pc.index_in(keys, distinct), np.int64)
+    values = distinct.to_numpy(zero_copy_only=False).tolist()  # ~20x faster than to_pylist
     if salt_span:
-        turns = turn_idx.to_pylist()
-        keys = [f"{v}#{'' if t is None else t // salt_span}" for v, t in zip(keys, turns)]
-    return np.fromiter(
-        (zlib.crc32(k.encode("utf-8")) % num_partitions for k in keys),
+        nulls = np.asarray(pc.is_null(turn_idx))
+        spans = np.asarray(pc.fill_null(turn_idx, 0)) // salt_span
+        uniq, span_codes = np.unique(spans, return_inverse=True)
+        # one int per (conv_id, range) pair; a null range is range code len(uniq)
+        pairs = codes * (len(uniq) + 1) + np.where(nulls, len(uniq), span_codes)
+        _, first, pair_codes = np.unique(pairs, return_index=True, return_inverse=True)
+        firsts = (codes[first].tolist(), spans[first].tolist(), nulls[first].tolist())
+        values = [f"{values[c]}#{'' if n else t}" for c, t, n in zip(*firsts)]
+        codes = pair_codes
+    hashes = np.fromiter(
+        (zlib.crc32(k.encode("utf-8")) % num_partitions for k in values),
         dtype=np.int32,
-        count=len(keys),
+        count=len(values),
     )
+    return hashes[codes]
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:

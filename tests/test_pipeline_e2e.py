@@ -323,6 +323,32 @@ def test_resume_with_one_partition_left(ray_session, small_transcripts, tmp_path
     assert full["rows_written"] == sum(t.num_rows for t in after.values())
 
 
+def test_full_run_keeps_one_schema_and_times_its_stages(ray_session, small_transcripts, tmp_path):
+    """With every partition non-empty, no sort block is schema-less, so Ray
+    Data logs no schema-drift warning; the summary's stage walls (read+tag+
+    sort, then the partition tasks) fit inside the call's wall."""
+    import logging
+    import time
+
+    from deepdoctection_ray.pipelines.extraction import run_extraction
+
+    records = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(handler)
+    try:
+        t0 = time.perf_counter()
+        s = run_extraction(small_transcripts, str(tmp_path / "out"), num_partitions=8, resume=False)
+        wall = time.perf_counter() - t0
+    finally:
+        logger.removeHandler(handler)
+    assert s["partitions_written"] == 8
+    assert [r.getMessage() for r in records if "different schema" in r.getMessage()] == []
+    assert s["shuffle_sec"] >= 0 and s["drain_sec"] >= 0
+    assert s["shuffle_sec"] + s["drain_sec"] <= wall + 1e-3  # both rounded to ms
+
+
 def test_partition_writer_block_guard(tmp_path):
     """A 0-row block writes nothing and returns the typed empty summary; a
     block holding two partitions raises instead of writing them as one."""

@@ -4,9 +4,13 @@ never fail a batch — worst case is an empty extraction or a dead-letter row.""
 from __future__ import annotations
 
 import json
+import zlib
 
+import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deepdoctection_ray.kernels.extract import extract_turn
 from deepdoctection_ray.stages.extract import TurnExtractor
@@ -73,6 +77,49 @@ def test_empty_dataset_extraction(ray_session, tmp_path):
     summary = run_extraction(str(src), str(tmp_path / "out"), num_partitions=4, resume=False)
     assert summary["rows_written"] == 0
     assert summary["errors"] == 0
+
+
+def _per_row_partition_ids(conv_ids, num_partitions, turn_idx, salt_span):
+    """The per-row definition ``conv_partition_ids`` must equal: one crc32
+    per row of ``conv_id`` (null as ``""``), or of ``conv_id#range``."""
+    keys = ["" if v is None else v for v in conv_ids]
+    if salt_span:
+        keys = [f"{v}#{'' if t is None else t // salt_span}" for v, t in zip(keys, turn_idx)]
+    return [zlib.crc32(k.encode("utf-8")) % num_partitions for k in keys]
+
+
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.none() | st.sampled_from(["a", "", "None", "a#1", "é", "会话"]) | st.text(max_size=4),
+            st.none() | st.integers(-40, 40),
+        ),
+        max_size=60,
+    ),
+    num_partitions=st.sampled_from([1, 2, 16, 2**31]),
+    salt_span=st.sampled_from([None, 1, 3]),
+    cuts=st.none() | st.lists(st.integers(0, 60), max_size=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_conv_partition_ids_equal_the_per_row_hash(rows, num_partitions, salt_span, cuts):
+    """Hashing each distinct key once gives every row the id its own crc32
+    gives it: null conv_ids and turn_idx, non-ASCII ids, plain and chunked
+    columns (``cuts`` are the chunk bounds), P = 1."""
+    from deepdoctection_ray.stages.extract import conv_partition_ids
+
+    convs, turns = [c for c, _ in rows], [t for _, t in rows]
+
+    def column(values, typ):
+        if cuts is None:
+            return pa.array(values, typ)
+        bounds = sorted({min(c, len(values)) for c in cuts} | {0, len(values)})
+        return pa.chunked_array([values[a:b] for a, b in zip(bounds, bounds[1:])], typ)
+
+    got = conv_partition_ids(
+        column(convs, pa.string()), num_partitions, column(turns, pa.int64()), salt_span
+    )
+    assert got.dtype == np.int32
+    assert got.tolist() == _per_row_partition_ids(convs, num_partitions, turns, salt_span)
 
 
 @pytest.mark.parametrize("salt_span", [None, 2])

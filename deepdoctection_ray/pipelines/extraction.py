@@ -275,6 +275,7 @@ def run_extraction(
     refs = [ref for b in blocks.iter_internal_ref_bundles() for ref, m in b.blocks if m.num_rows]
     shuffled = time.perf_counter()
     tasks = [_partition_task.remote(ref, output_dir, chaos_kill_once) for ref in refs]
+    del refs  # each block is freed once its task is done
     rows = [row for table in ray.get(tasks) for row in table.to_pylist()]
     return {
         "partitions_written": len(rows),

@@ -75,19 +75,12 @@ def conv_partition_ids(
     lands in a deterministic partition and is written like any other.
     """
     keys = pc.fill_null(conv_ids, "")
+    if salt_span:
+        spans = pa.array(np.asarray(pc.fill_null(turn_idx, 0)) // salt_span).cast(pa.string())
+        keys = pc.binary_join_element_wise(keys, pc.if_else(pc.is_null(turn_idx), "", spans), "#")
     distinct = pc.unique(keys)
     codes = np.asarray(pc.index_in(keys, distinct), np.int64)
     values = distinct.to_numpy(zero_copy_only=False).tolist()  # ~20x faster than to_pylist
-    if salt_span:
-        nulls = np.asarray(pc.is_null(turn_idx))
-        spans = np.asarray(pc.fill_null(turn_idx, 0)) // salt_span
-        uniq, span_codes = np.unique(spans, return_inverse=True)
-        # one int per (conv_id, range) pair; a null range is range code len(uniq)
-        pairs = codes * (len(uniq) + 1) + np.where(nulls, len(uniq), span_codes)
-        _, first, pair_codes = np.unique(pairs, return_index=True, return_inverse=True)
-        firsts = (codes[first].tolist(), spans[first].tolist(), nulls[first].tolist())
-        values = [f"{values[c]}#{'' if n else t}" for c, t, n in zip(*firsts)]
-        codes = pair_codes
     hashes = np.fromiter(
         (zlib.crc32(k.encode("utf-8")) % num_partitions for k in values),
         dtype=np.int32,

@@ -1,86 +1,37 @@
 """Join helpers for Ray Data pipelines.
 
 The reference's only cross-record join is the in-memory COCO hash join
-(``custom_serialize.py:349-375``); at engine level we provide the two
-scale-correct shapes:
-
-- broadcast hash join: the small side goes to the object store ONCE
-  (``ray.put``), each actor materializes the lookup dict in ``__init__`` and
-  maps rows per batch — no shuffle at all;
-- every other equi-join (inner / left / semi / anti) goes through
-  :func:`hash_join`, the one owner of Ray 2.49's join rules (empty blocks
-  and empty sides); nothing else calls ``Dataset.join``.
+(``custom_serialize.py:349-375``); at engine level every equi-join (inner /
+left / semi / anti) goes through :func:`hash_join`, a split-and-join over
+plain Ray tasks; nothing calls ``Dataset.join``.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
+import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray
 import ray.data
+from ray.data.block import Block, BlockAccessor
 
-
-def broadcast_join(
-    ds: ray.data.Dataset,
-    small: Mapping,
-    key_column: str,
-    value_columns: dict[str, pa.DataType],
-    how: str = "inner",
-) -> ray.data.Dataset:
-    """Inner/left join of ``ds`` against a driver-side mapping
-    ``key -> {col: value}``; the mapping is shipped once via ``ray.put``.
-
-    The probe is Arrow-native: the small side becomes key/value arrays once
-    per actor in ``__init__``; per batch one ``pc.index_in`` + ``pc.take``
-    per value column — vectorized C, null-for-miss gives left-join for free.
-    """
-    assert how in ("inner", "left")
-    ref = ray.put(dict(small))
-
-    class Join:
-        def __init__(self) -> None:
-            lookup = ray.get(ref)
-            keys = list(lookup)
-            self._keys = pa.array(keys)
-            self._values = {
-                col: pa.array([lookup[k][col] for k in keys], typ)
-                for col, typ in value_columns.items()
-            }
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            idx = pc.index_in(batch[key_column], value_set=self._keys)
-            if how == "inner":
-                mask = idx.is_valid()
-                batch = batch.filter(mask)
-                idx = idx.filter(mask)
-            for col, vals in self._values.items():
-                batch = batch.append_column(col, pc.take(vals, idx))
-            return batch
-
-    return ds.map_batches(Join, batch_format="pyarrow", concurrency=(1, 4))
+from .bucketed import hash_rows
 
 
 def drop_empty_blocks(
     ds: ray.data.Dataset, anchor: "pa.Table | pa.Schema | None" = None
 ) -> ray.data.Dataset:
     """Materialize ``ds`` and rebuild it from its non-empty blocks only —
-    the join-side scrub :func:`hash_join` applies to both of its inputs.
+    the side scrub :func:`hash_join` applies to both of its inputs (the
+    driver touches metadata only; the data never leaves the object store).
 
-    Ray 2.49's ``Dataset.join`` fails its Acero finalize ("No match ...
-    FieldRef") when a join input STARTS with a 0-row block, even if later
-    blocks hold every key, and when a side is fully empty. Neither a
-    ``map_batches``/generator UDF that yields nothing (Ray skips empty
-    blocks without calling the UDF) nor ``ds.filter(expr=...)`` removes such
-    a block; only rebuilding the dataset from the surviving block REFS does
-    (the driver touches metadata only; the data never leaves the object
-    store).
-
-    When every block is empty the result is ONE typed empty block carrying
-    the materialized schema, or ``anchor``'s (a table or schema) when Ray
-    kept no schema at all; with neither, the empty input is returned."""
+    A fully-empty side still yields ONE typed empty block, carrying the
+    materialized schema, or ``anchor``'s (a table or schema) when Ray kept
+    no schema at all: a schema-less block has no key column to hash, and
+    the typed block is what lets the join answer an empty side. With
+    neither, the empty input is returned."""
     mat = ds.materialize()
     refs = [
         ref
@@ -99,6 +50,31 @@ def drop_empty_blocks(
     return mat
 
 
+def _split(block: Block, key_column: str, num_buckets: int) -> "pa.Table | tuple":
+    """``block``'s rows (as Arrow) split by ``hash(key) % num_buckets`` (the
+    bucket ``bucketed.tag_buckets`` gives a row), one typed slice per
+    bucket; a single bucket is the whole block."""
+    block = BlockAccessor.for_block(block).to_arrow()
+    if num_buckets == 1:
+        return block
+    bucket = hash_rows(block, [key_column]) % np.uint64(num_buckets)
+    bucket = bucket.astype(np.min_scalar_type(num_buckets))  # radix-sortable width
+    ends = np.cumsum(np.bincount(bucket, minlength=num_buckets))
+    block = block.take(np.argsort(bucket, kind="stable"))
+    return tuple(block.slice(s, e - s) for s, e in zip([0, *ends[:-1]], ends))
+
+
+def _join_bucket(key_column: str, join_type: str, num_left: int, *parts: pa.Table) -> pa.Table:
+    """Join one bucket: its ``num_left`` left slices against the rest."""
+    left = pa.concat_tables(parts[:num_left], promote_options="default")
+    right = pa.concat_tables(parts[num_left:], promote_options="default")
+    return left.join(right, key_column, join_type=join_type, use_threads=False)
+
+
+_split_task = ray.remote(_split)
+_join_task = ray.remote(_join_bucket)
+
+
 def hash_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
@@ -110,80 +86,70 @@ def hash_join(
     """Bucketed large×large hash join — neither side is collected on the
     driver or broadcast (both are materialized in the object store).
 
-    Thin policy wrapper over the native ``Dataset.join`` (Ray ≥ 2.47's
-    hash-partitioned shuffle join): both sides hash-partition on the key into
-    ``num_buckets`` independent partitions, each joined by an aggregator. The
+    Both inputs pass through :func:`drop_empty_blocks`. One ``_split`` task
+    per block cuts it into ``num_buckets`` slices by key hash; one
+    ``_join_bucket`` task per bucket concatenates that bucket's slices of
+    both sides and runs pyarrow's ``Table.join`` on them. Every task is a
+    plain 1-CPU Ray task, so any bucket count runs on any CPU count. The
     reference engine has no cross-record join at all
     (``custom_serialize.py:349-375`` is an in-memory COCO join), so this
     surface is native to the Ray rebuild.
 
-    This is the ONE owner of Ray 2.49's join rules: both inputs pass through
-    :func:`drop_empty_blocks` (a 0-row block at the head of either side, or
-    a fully-empty side, breaks the join's finalize), and when a side is
-    empty (row counts read from the materialized metadata) the answer
-    ``how`` implies is returned without calling ``Dataset.join``: ``anti``
-    keeps ``left`` as it is, ``left`` appends typed null ``right_columns``,
-    every other case is a typed empty result. Callers never scrub, anchor or
+    An empty side is a typed empty block, and pyarrow's join of typed
+    tables gives the answer ``how`` implies. The only special case left is
+    a fully-empty ``left`` Ray kept no schema for: it is returned as the
+    (column-less) empty result. A schema-less empty ``right`` is typed from
+    the left key and ``right_columns``. Callers never scrub, anchor or
     short-circuit a join side themselves.
 
     Partitioning assumptions (documented for the 100-TB target):
-    - ``num_buckets`` must be sized so (left+right)/num_buckets fits an
-      aggregator's heap; partitions join independently. Each partition costs
-      an aggregator actor slot (0.125 CPU), so on a real cluster raise
-      ``num_buckets`` well above the sandbox default of 8 — the default is
-      sized so joins never starve a small ``ray.init(num_cpus=4)`` test
-      session of CPU slots (aggregators deadlock if they cannot all start);
-    - a single hot KEY cannot be split across partitions (join semantics);
+    - ``num_buckets`` must be sized so (left+right)/num_buckets fits one
+      task's heap; buckets join independently;
+    - a single hot KEY cannot be split across buckets (join semantics);
       skew within a key should be pre-aggregated away before the join (see
       q_orders_by_segment: orders collapse to one row per custkey first).
 
     ``how``: 'inner' | 'left' | 'semi' | 'anti' (semi/anti return left
     columns only and ignore ``right_columns``). ``right_columns`` maps the
     right-side columns to carry to their Arrow types — the right side is
-    pruned to them before the exchange, and the types build the empty-side
-    results (``pc.fill_null`` rejects null-typed columns); ``None`` carries
-    every right column.
+    pruned to them before the split, and the types type a schema-less empty
+    right side; ``None`` carries every right column. pyarrow's join rejects
+    list<> payload columns: pack them as binary.
     """
     join_type = {
         "inner": "inner",
-        "left": "left_outer",
-        "semi": "left_semi",
-        "anti": "left_anti",
+        "left": "left outer",
+        "semi": "left semi",
+        "anti": "left anti",
     }[how]
     if how in ("semi", "anti"):
         right_columns = {}
     if right_columns is not None:
         right_columns = {c: t for c, t in right_columns.items() if c != key_column}
         right = right.select_columns([key_column, *right_columns])
-    left, right = drop_empty_blocks(left), drop_empty_blocks(right)
-    has_left, has_right = left.count() > 0, right.count() > 0
-    if has_left and has_right:
-        return left.join(
-            right, join_type=join_type, num_partitions=num_buckets, on=(key_column,)
-        )
-    if has_left and how == "anti":
-        return left
-    if right_columns is None:
-        rsch = right.schema()
-        right_columns = dict(zip(rsch.names, rsch.types)) if rsch is not None else {}
-        right_columns.pop(key_column, None)
-    if has_left and how == "left":
-
-        def with_nulls(batch: pa.Table) -> pa.Table:
-            for c, t in right_columns.items():
-                batch = batch.append_column(c, pa.nulls(len(batch), t))
-            return batch
-
-        return left.map_batches(with_nulls, batch_format="pyarrow", batch_size=None)
+    left = drop_empty_blocks(left)
     lsch = left.schema()
-    if lsch is None:
+    if lsch is None or not lsch.names:
         # Ray kept no schema for a fully-empty left: the empty input is the
         # (column-less) empty result
         return left
-    fields = list(zip(lsch.names, lsch.types))
-    if how in ("inner", "left"):
-        fields += list(right_columns.items())
-    return ray.data.from_arrow(pa.schema(fields).empty_table())
+    key_type = dict(zip(lsch.names, lsch.types))[key_column]
+    right = drop_empty_blocks(
+        right, pa.schema([(key_column, key_type), *(right_columns or {}).items()])
+    )
+    split = _split_task.options(num_returns=num_buckets)
+    parts = []  # per side, per block: the block's bucket slices
+    for side in (left, right):
+        refs = [ref for b in side.iter_internal_ref_bundles() for ref, _ in b.blocks]
+        parts.append([split.remote(ref, key_column, num_buckets) for ref in refs])
+    if num_buckets == 1:
+        parts = [[[ref] for ref in side] for side in parts]
+    joined = [
+        _join_task.remote(key_column, join_type, len(parts[0]), *(p[i] for s in parts for p in s))
+        for i in range(num_buckets)
+    ]
+    del parts  # each slice is freed once its bucket is joined
+    return ray.data.from_arrow_refs(joined)
 
 
 def asof_join(

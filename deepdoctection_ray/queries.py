@@ -20,7 +20,6 @@ import ray
 import ray.data
 
 from .functions.aggregates import grouped_int_sums, grouped_sums
-from .functions.joins import broadcast_join
 from .stages import dedup as dd
 from .stages import similarity as sim
 from .stages import text_stats as ts
@@ -242,20 +241,26 @@ LIMIT 10
 
 
 def q5_region_revenue(sf_dir: str) -> pd.DataFrame:
-    """Star join: region/nation stay broadcast dictionaries (25/5 rows —
-    genuinely small), but the supplier leg (1M rows at SF100) goes through the
-    BUCKETED hash join, with lineitem pre-aggregated to one row per suppkey
-    first so the fact side of the shuffle is dimension-sized."""
+    """Star join: region stays a driver dictionary (5 rows); nation and the
+    supplier leg (1M rows at SF100) go through the bucketed hash join, with
+    lineitem pre-aggregated to one row per suppkey first so the fact side of
+    the shuffle is dimension-sized."""
     if any(_empty(sf_dir, t) for t in ("lineitem", "supplier", "nation", "region")):
         return pd.DataFrame(columns=["r_name", "revenue", "n_items"])
     from .functions.joins import hash_join
 
     region = {r["r_regionkey"]: r["r_name"] for r in _t(sf_dir, "region").take_all()}
-    nation = {
-        n["n_nationkey"]: {"r_name": region[n["n_regionkey"]]}
-        for n in _t(sf_dir, "nation").take_all()
-    }
-    supplier_r = broadcast_join(
+
+    def with_region(batch: pa.Table) -> pa.Table:
+        names = [region[k] for k in batch["n_regionkey"].to_pylist()]
+        return pa.table(
+            {"s_nationkey": batch["n_nationkey"], "r_name": pa.array(names, pa.string())}
+        )
+
+    nation = _t(sf_dir, "nation", columns=["n_nationkey", "n_regionkey"]).map_batches(
+        with_region, batch_format="pyarrow"
+    )
+    supplier_r = hash_join(
         _t(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"]),
         nation,
         "s_nationkey",

@@ -68,7 +68,6 @@ def ngram_cross_entropy(
     text_column: str = "text",
     id_column: str = "doc_id",
     num_buckets: int = 32,
-    join_buckets: int = 8,
 ) -> ray.data.Dataset:
     """Per-document bigram cross-entropy under the corpus's own add-one
     smoothed bigram model.
@@ -123,7 +122,7 @@ def ngram_cross_entropy(
         num_buckets,
     )
     joined = hash_join(
-        bg, model, "b", {"c12": pa.int64(), "c1": pa.int64()}, num_buckets=join_buckets
+        bg, model, "b", {"c12": pa.int64(), "c1": pa.int64()}, num_buckets=num_buckets
     )
 
     def score(batch: pa.Table) -> pa.Table:

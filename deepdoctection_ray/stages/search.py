@@ -117,7 +117,6 @@ def tfidf_topk(
     id_column: str = "doc_id",
     top_n: int = 3,
     num_buckets: int = 32,
-    join_buckets: int = 8,
 ) -> ray.data.Dataset:
     """Top-``top_n`` TF-IDF terms per document — the classic keyword /
     feature extractor (Spärck Jones 1972): ``tfidf = tf · ln(N / df)``
@@ -190,7 +189,7 @@ def tfidf_topk(
     # document frequency. One caveat: a doc whose text repeats across blocks
     # cannot occur (rows group per batch but a doc lives in one row).
     df_tab = grouped_sums(tf_rows.select_columns(["term"]), ["term"], [], count_alias="df")
-    joined = hash_join(tf_rows, df_tab, "term", {"df": pa.int64()}, num_buckets=join_buckets)
+    joined = hash_join(tf_rows, df_tab, "term", {"df": pa.int64()}, num_buckets=num_buckets)
 
     def score(batch: pa.Table) -> pa.Table:
         tf = batch["tf"].to_numpy(zero_copy_only=False).astype(np.float64)

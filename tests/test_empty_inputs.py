@@ -6,11 +6,12 @@ this genuinely hard: ``groupby().aggregate()`` on a fully-empty input
 returns a dataset with NO schema at all, and ``Dataset.join`` raises
 ``ArrowInvalid`` when either input starts with a 0-row block or is fully
 empty — even two bare ``read_parquet`` reads of zero-row files with intact
-footer schemas. ``functions.joins.hash_join`` owns the join rule (it scrubs
-both sides and answers empty sides itself), the grouped helpers' ``anchor=``
-keeps aggregate schemas, and O(1) parquet-metadata guards keep the
-DataFrame/Table queries' columns — this module pins the whole catalog
-against the degenerate corpus and ``hash_join`` against the edge layouts.
+footer schemas. ``functions.joins.hash_join`` owns the join (its own
+split-and-join tasks over typed blocks of both sides), the grouped
+helpers' ``anchor=`` keeps aggregate schemas, and O(1) parquet-metadata
+guards keep the DataFrame/Table queries' columns — this module pins the
+whole catalog against the degenerate corpus and ``hash_join`` against the
+edge layouts.
 """
 
 import os
@@ -90,7 +91,8 @@ def _expected_rows(left: pa.Table, right: pa.Table, how: str) -> list:
 @pytest.mark.parametrize("shape", ["head-block-filtered", "empty-right", "empty-left"])
 def test_hash_join_empty_edges(ray_session, shape, how):
     """Each shape crashed the bare ``Dataset.join``; ``hash_join`` must give
-    the relational answer with the documented columns."""
+    the relational answer with the documented columns at 1, 2 and 8
+    buckets (one bucket joins each block unsplit)."""
     import ray.data
 
     from deepdoctection_ray.functions.joins import hash_join
@@ -109,9 +111,9 @@ def test_hash_join_empty_edges(ray_session, shape, how):
     else:
         left_t, right = LEFT.slice(0, 0), ray.data.from_arrow(RIGHT)
         left = ray.data.from_arrow(left_t)
-    out = hash_join(left, right, "k", {"y": pa.float64()}, how=how, num_buckets=2)
     cols = ["k", "x", "y"] if how in ("inner", "left") else ["k", "x"]
-    assert out.schema().names == cols
-    assert sorted(tuple(r[c] for c in cols) for r in out.take_all()) == _expected_rows(
-        left_t, right_t, how
-    )
+    for num_buckets in (1, 2, 8):
+        out = hash_join(left, right, "k", {"y": pa.float64()}, how=how, num_buckets=num_buckets)
+        assert out.schema().names == cols, num_buckets
+        got = sorted(tuple(r[c] for c in cols) for r in out.take_all())
+        assert got == _expected_rows(left_t, right_t, how), num_buckets

@@ -1,5 +1,6 @@
-"""The extraction entry points, and the classifier stages that follow them
-in ``q_doc_type`` and ``q_entities``, finish on a 1-CPU Ray session.
+"""The extraction entry points, the classifier stages that follow them in
+``q_doc_type`` and ``q_entities``, and ``hash_join`` at its default 8
+buckets finish on a 1-CPU Ray session.
 
 An actor pool downstream of CPU tasks can hold the only CPU while the read,
 tag, sort and extraction tasks it waits on never get scheduled. The run
@@ -25,8 +26,10 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CHILD = """
 import json, sys
+import pyarrow as pa
 import ray
 from deepdoctection_ray import fixtures, queries
+from deepdoctection_ray.functions.joins import hash_join
 from deepdoctection_ray.pipelines.extraction import extract_turns, read_transcripts, run_extraction
 
 ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
@@ -34,8 +37,12 @@ summary = run_extraction(fixtures.TRANSCRIPTS_DIR, sys.argv[1], num_partitions=8
 mapped = extract_turns(read_transcripts(fixtures.TRANSCRIPTS_DIR)).materialize().count()
 doc_types = queries.q_doc_type("").count()  # extraction tasks, then the classifier stages
 entities = queries.q_entities("").count()
+left = ray.data.from_arrow(pa.table({"k": [i % 300 for i in range(1000)], "x": list(range(1000))}))
+right = ray.data.from_arrow(pa.table({"k": list(range(0, 600, 2)), "y": list(range(300))}))
+joined = hash_join(left, right, "k").count()  # 8 buckets
 print(json.dumps({"rows_written": summary["rows_written"], "errors": summary["errors"],
-                  "mapped": mapped, "doc_types": doc_types, "entities": entities}))
+                  "mapped": mapped, "doc_types": doc_types, "entities": entities,
+                  "joined": joined}))
 """
 
 
@@ -63,4 +70,6 @@ def test_extraction_finishes_on_one_cpu(tmp_path):
     result = json.loads(out.strip().splitlines()[-1])
     assert result.pop("entities") > 0
     layout_docs = pq.read_table(fixtures.path("layout_docs"), columns=["doc_id"]).num_rows
-    assert result == {"rows_written": rows, "errors": 0, "mapped": rows, "doc_types": layout_docs}
+    assert result == {
+        "rows_written": rows, "errors": 0, "mapped": rows, "doc_types": layout_docs, "joined": 500,
+    }

@@ -159,6 +159,18 @@ def tag_buckets(batch: pa.Table, key_cols: Sequence[str], num_buckets: int) -> p
     return batch.append_column(BUCKET_COL, pa.array(h.astype(np.int64), pa.int64()))
 
 
+def split_by(table: pa.Table, ids: np.ndarray, n: int) -> list[pa.Table]:
+    """``table`` cut into ``n`` slices by the row ids in ``[0, n)``: slice i
+    holds the rows with id i in table order, typed like ``table`` even when
+    empty. One stable argsort at the narrowest width that holds ``n``."""
+    if n == 1:
+        return [table]
+    ids = np.asarray(ids).astype(np.min_scalar_type(n))  # radix-sortable width
+    ends = np.cumsum(np.bincount(ids, minlength=n))
+    table = table.take(np.argsort(ids, kind="stable"))
+    return [table.slice(s, e - s) for s, e in zip([0, *ends[:-1]], ends)]
+
+
 def bucketed_map_groups(
     ds: ray.data.Dataset,
     key_cols: Sequence[str],
@@ -185,21 +197,14 @@ def bucketed_map_groups(
         batch_size=None,
     )
 
-    if batch_format == "pyarrow":
-
-        def run(g: pa.Table):
+    def run(g: "pa.Table | pd.DataFrame"):
+        if batch_format == "pyarrow":
             out = emit_bucket(g.drop_columns([BUCKET_COL]))
-            if isinstance(out, pd.DataFrame):
-                out = pa.Table.from_pandas(out, preserve_index=False)
-            return out
-
-    else:
-
-        def run(g: pd.DataFrame):
+        else:
             out = emit_bucket(g.drop(columns=[BUCKET_COL]))
-            if isinstance(out, pd.DataFrame):
-                out = pa.Table.from_pandas(out, preserve_index=False)
-            return out
+        if isinstance(out, pd.DataFrame):
+            out = pa.Table.from_pandas(out, preserve_index=False)
+        return out
 
     out = tagged.groupby(BUCKET_COL).map_groups(run, batch_format=batch_format)
     return with_anchor(out, anchor)

@@ -17,7 +17,7 @@ import ray
 import ray.data
 from ray.data.block import Block, BlockAccessor
 
-from .bucketed import hash_rows
+from .bucketed import hash_rows, split_by
 
 
 def drop_empty_blocks(
@@ -53,15 +53,11 @@ def drop_empty_blocks(
 def _split(block: Block, key_column: str, num_buckets: int) -> "pa.Table | tuple":
     """``block``'s rows (as Arrow) split by ``hash(key) % num_buckets`` (the
     bucket ``bucketed.tag_buckets`` gives a row), one typed slice per
-    bucket; a single bucket is the whole block."""
+    bucket; a single bucket is the whole block (``num_returns=1``)."""
     block = BlockAccessor.for_block(block).to_arrow()
-    if num_buckets == 1:
-        return block
     bucket = hash_rows(block, [key_column]) % np.uint64(num_buckets)
-    bucket = bucket.astype(np.min_scalar_type(num_buckets))  # radix-sortable width
-    ends = np.cumsum(np.bincount(bucket, minlength=num_buckets))
-    block = block.take(np.argsort(bucket, kind="stable"))
-    return tuple(block.slice(s, e - s) for s, e in zip([0, *ends[:-1]], ends))
+    slices = split_by(block, bucket, num_buckets)
+    return tuple(slices) if num_buckets > 1 else slices[0]
 
 
 def _join_bucket(key_column: str, join_type: str, num_left: int, *parts: pa.Table) -> pa.Table:

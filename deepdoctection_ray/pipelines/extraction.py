@@ -1,30 +1,26 @@
 """The flagship pipeline: transcripts parquet → extracted turns parquet.
 
-Shape (one exchange, every stage a Ray task):
+Shape (one exchange; plain Ray tasks, all submitted at once):
 
-    read_parquet (pruned columns, one read task per input file)
-      → map_batches(add part_id, filter finished partitions)   [fused with the read]
-      → sort(part_id, boundaries=[1, …, P-1])                 [block i = partition i]
-      → one Ray task per non-empty block, all submitted at once:
-        sort by conv_id, turn_idx; extract; write partition + lineage
+    per input file: read (pruned columns) → add part_id → one slice per partition
+    per partition:  concat its slices; sort by conv_id, turn_idx; extract; write
 
 The single shuffle is keyed by ``part_id = crc32(conv_id) % P`` and carries
 the flat INPUT rows only: the nested span/block columns are produced after
 the exchange, next to the parquet writer. The key's domain is known, so
-its boundaries are given, never sampled. In-partition sorting restores
-stable turn order (the cross-record analog of the reference's
-``TextOrderService``; the reference itself loses stream order under parallel
-maps, SURVEY.md §2.10, and re-establishes order per record only — here
-order is re-established per conversation by key, never by stream position).
-A conversation with millions of turns is bounded by its partition, and
-partition counts are uniform under the hash; P scales with the cluster
-(P ≈ 4-8x task slots).
+each file is cut into the P partitions directly, with no sampling and no
+sort. In-partition sorting restores stable turn order (the cross-record
+analog of the reference's ``TextOrderService``; the reference itself loses
+stream order under parallel maps, SURVEY.md §2.10, and re-establishes order
+per record only — here order is re-established per conversation by key,
+never by stream position). A conversation with millions of turns is bounded
+by its partition, and partition counts are uniform under the hash; P scales
+with the cluster (P ≈ 4-8x task slots).
 
 Extraction holds no state worth an actor (every reference component is a
-stateless per-record map, SURVEY.md §2.3), so it runs as tasks. The
-partitions need nothing but their block, so they are plain Ray tasks: Ray
-core hands a worker its next partition as soon as it reports one done, where
-Ray Data's executor sees a finished task only at its next 0.1 s poll.
+stateless per-record map, SURVEY.md §2.3), so it runs as tasks. Ray core
+starts a partition as soon as its slices exist: no all-to-all barrier and
+no executor poll stand before the first partition.
 """
 
 from __future__ import annotations
@@ -32,11 +28,13 @@ from __future__ import annotations
 import os
 import time
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
 
+from ..functions import bucketed
 from ..stages.extract import TurnExtractor, conv_partition_ids
 from .checkpoint import clear_output, completed_partitions, write_partition
 
@@ -79,13 +77,9 @@ def assemble_conversations(
     would dominate the job. Only the columns the assembly needs cross the
     exchange.
     """
-    from ..functions.bucketed import bucketed_map_groups
-
     cols = ["conv_id", "turn_idx", "extracted_text"] + (["role"] if with_roles else [])
 
     def per_bucket(g: pa.Table) -> pa.Table:
-        import numpy as np
-
         if g.num_rows == 0:
             return pa.table(
                 {
@@ -120,7 +114,7 @@ def assemble_conversations(
             }
         )
 
-    return bucketed_map_groups(
+    return bucketed.bucketed_map_groups(
         extracted.select_columns(cols), ["conv_id"], per_bucket, num_buckets
     )
 
@@ -137,13 +131,11 @@ def _extract_and_write_partition(
 ) -> pa.Table:
     """Fused per-partition finisher: sort → extract → write → summary row.
 
-    Receives one block of the boundary sort: one complete partition of INPUT
-    rows. ``run_extraction`` submits non-empty blocks only; a 0-row block
-    from a direct caller writes nothing and returns a typed 0-row summary.
-    A block holding two part_ids raises rather than write them as one. The
-    nested output columns (spans/blocks) are produced AFTER the shuffle and
-    go straight to parquet; the partition is sorted by (conv_id, turn_idx)
-    and written atomically.
+    Receives one complete partition of INPUT rows; a 0-row block writes
+    nothing and returns a typed 0-row summary. A block holding two part_ids
+    raises rather than write them as one. The nested output columns
+    (spans/blocks) are produced AFTER the shuffle and go straight to parquet;
+    the partition is sorted by (conv_id, turn_idx) and written atomically.
     """
     if batch.num_rows == 0:
         return _SUMMARY_SCHEMA.empty_table()
@@ -183,23 +175,47 @@ def _extract_and_write_partition(
     return pa.table([[value] for value in row], schema=_SUMMARY_SCHEMA)
 
 
-# Ray Data's task retries: a partition whose worker dies runs again.
-_partition_task = ray.remote(max_retries=-1, retry_exceptions=[ray.exceptions.RaySystemError])(
-    _extract_and_write_partition
-)
+def _split_file(
+    path: str, filesystem, num_partitions: int, todo: list[int], salt_span: int | None
+) -> "pa.Table | tuple":
+    """One input file's rows with their ``part_id``, cut into one typed slice
+    per unfinished partition in ``todo`` order (rows of finished partitions
+    are dropped); one partition is one slice (``num_returns=1``)."""
+    import pyarrow.parquet as pq
+
+    batch = pq.read_table(path, columns=TRANSCRIPT_COLUMNS, filesystem=filesystem)
+    part = conv_partition_ids(batch["conv_id"], num_partitions, batch["turn_idx"], salt_span)
+    batch = batch.append_column("part_id", pa.array(part, pa.int32()))
+    slot = np.full(num_partitions, len(todo))  # finished → one extra slice, dropped
+    slot[todo] = np.arange(len(todo))
+    slices = bucketed.split_by(batch, slot[part], len(todo) + 1)[:-1]
+    return tuple(slices) if len(todo) > 1 else slices[0]
 
 
-def _input_listing(input_path: str | list[str]) -> tuple[int, int]:
-    """(file count, byte total) of the parquet files ``read_parquet`` reads
-    from ``input_path``: pyarrow dataset discovery, as Ray lists them —
-    nested directories included, ``_``/``.`` files (``_meta.json``) skipped."""
+def _finish_partition(output_dir: str, chaos_kill_once: str | None, *slices: pa.Table) -> pa.Table:
+    """One partition from its slice of every file; the concat promotes a
+    file's all-null column, so every partition writes one schema."""
+    batch = pa.concat_tables(slices, promote_options="default")
+    return _extract_and_write_partition(batch, output_dir, chaos_kill_once)
+
+
+# Ray Data's task retries: a task whose worker dies runs again
+_retried = ray.remote(max_retries=-1, retry_exceptions=[ray.exceptions.RaySystemError])
+_split_task = _retried(_split_file)
+_partition_task = _retried(_finish_partition)
+
+
+def _input_listing(input_path: str | list[str]) -> tuple[list[str], pa.fs.FileSystem, int]:
+    """(files, filesystem, byte total) of the parquet files ``input_path``
+    names: pyarrow dataset discovery — nested directories included,
+    ``_``/``.`` files (``_meta.json``) skipped."""
     import pyarrow.dataset as pads
 
     if not isinstance(input_path, str) and len(input_path) == 1:
         input_path = input_path[0]  # a one-element list may name a directory
     listing = pads.dataset(input_path, format="parquet")
     sizes = [info.size for info in listing.filesystem.get_file_info(listing.files)]
-    return len(sizes), sum(sizes)
+    return listing.files, listing.filesystem, sum(sizes)
 
 
 def run_extraction(
@@ -216,66 +232,48 @@ def run_extraction(
     ``extract_core_sec``, ``write_core_sec``) and their extraction seconds
     per payload group (``extract_core_sec_by_kind``: ``page``, ``html``,
     ``plain``), which each partition's lineage JSON also holds as
-    ``extract_sec_by_kind``. Walls: ``shuffle_sec`` until every partition
-    block exists (read, tag, sort), ``drain_sec`` for the partition tasks.
+    ``extract_sec_by_kind``. Walls: ``shuffle_sec`` until every split task
+    is done (read, tag, cut), ``drain_sec`` for the rest of the call.
 
     ``salt_span``: break conversations into ``salt_span``-turn ranges before
     hashing, so one pathologically hot conv_id cannot exceed a partition's
     budget (see :func:`conv_partition_ids`).
 
-    Stage shape: read (one task per input file) → tag/filter (stateless,
-    fused with the read) → sort-shuffle the FLAT input rows on the known
-    boundaries ``[1, …, P-1]`` → one fused Ray task per non-empty partition
-    (sort, extract, write, lineage), all submitted at once. Shuffling before
-    extraction keeps the exchange payload to the input columns (flat
-    strings — cheap to slice/serialize); the nested span/block columns are
-    born next to the parquet writer.
-
-    A rerun after failure skips partitions that already have a success marker
-    (their input rows are dropped at the read stage, before any work).
+    Stage shape: see the module docstring. The driver holds F×P slice refs
+    (F files, P partitions) until every task is submitted, as many as a
+    sort's map outputs; each slice is freed once its partition is written.
+    A rerun skips partitions that already have a success marker (the split
+    drops their rows).
 
     ``num_partitions=None`` derives the count from the input's parquet bytes
     via :func:`..functions.bucketed.auto_num_buckets` (~64 MiB of input per
     partition, clamped to [16, 4096]) — deterministic for a given input, so
     resume stays consistent across runs of the same corpus. The bytes and
-    the read fan-out come from one listing of the files the read sees.
+    the split fan-out come from one listing of the input files.
     """
     start = time.perf_counter()
-    num_files, num_bytes = _input_listing(input_path)
+    files, filesystem, num_bytes = _input_listing(input_path)
     if num_partitions is None:
-        from ..functions.bucketed import auto_num_buckets
-
-        num_partitions = auto_num_buckets(num_bytes)
+        num_partitions = bucketed.auto_num_buckets(num_bytes)
     if resume:
         done = completed_partitions(output_dir)
     else:
         clear_output(output_dir)
         done = set()
-    done_list = sorted(done)
-
-    def tag_and_filter(batch: pa.Table) -> pa.Table:
-        part = conv_partition_ids(
-            batch["conv_id"], num_partitions, turn_idx=batch["turn_idx"], salt_span=salt_span
-        )
-        batch = batch.append_column("part_id", pa.array(part, pa.int32()))
-        if done_list:
-            mask = pc.invert(pc.is_in(batch["part_id"], value_set=pa.array(done_list, pa.int32())))
-            batch = batch.filter(mask)
-        return batch
-
-    # One read block per file: Ray fuses an unsplit read with the tag map
-    # into one task per file (a split read never fuses). batch_size=None:
-    # re-chunking here fragments the shuffle into tiny per-partition slices.
-    ds = ray.data.read_parquet(
-        input_path, columns=TRANSCRIPT_COLUMNS, override_num_blocks=max(num_files, 1)
-    ).map_batches(tag_and_filter, batch_format="pyarrow", batch_size=None)
-    # Explicit int boundaries skip Ray's sampling (an empty list samples):
-    # block i holds exactly partition i (P = 1 sorts on [1]: one empty block).
-    blocks = ds.sort("part_id", boundaries=list(range(1, max(num_partitions, 2))))
-    refs = [ref for b in blocks.iter_internal_ref_bundles() for ref, m in b.blocks if m.num_rows]
+    todo = [p for p in range(num_partitions) if p not in done] if files else []
+    split = _split_task.options(num_returns=max(len(todo), 1))
+    # per file: its slice refs in todo order (no split task when nothing is left)
+    slices = [split.remote(f, filesystem, num_partitions, todo, salt_span) for f in files if todo]
+    if len(todo) == 1:
+        slices = [[ref] for ref in slices]
+    tasks = [
+        _partition_task.remote(output_dir, chaos_kill_once, *(s[i] for s in slices))
+        for i in range(len(todo))
+    ]
+    # every partition needs every file's slice, so none starts before this wait
+    ray.wait([s[0] for s in slices], num_returns=len(slices), fetch_local=False)
     shuffled = time.perf_counter()
-    tasks = [_partition_task.remote(ref, output_dir, chaos_kill_once) for ref in refs]
-    del refs  # each block is freed once its task is done
+    del slices  # each slice is freed once its partition is written
     rows = [row for table in ray.get(tasks) for row in table.to_pylist()]
     return {
         "partitions_written": len(rows),

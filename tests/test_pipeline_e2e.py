@@ -323,14 +323,10 @@ def test_resume_with_one_partition_left(ray_session, small_transcripts, tmp_path
     assert full["rows_written"] == sum(t.num_rows for t in after.values())
 
 
-def test_full_run_keeps_one_schema_and_times_its_stages(ray_session, small_transcripts, tmp_path):
-    """With every partition non-empty, no sort block is schema-less, so Ray
-    Data logs no schema-drift warning; the summary's stage walls (read+tag+
-    sort, then the partition tasks) fit inside the call's wall."""
+def _schema_warnings(run):
+    """``run()``'s result and the messages of every schema-drift warning the
+    ``ray.data`` logger emitted while it ran."""
     import logging
-    import time
-
-    from deepdoctection_ray.pipelines.extraction import run_extraction
 
     records = []
     handler = logging.Handler(logging.WARNING)
@@ -338,15 +334,86 @@ def test_full_run_keeps_one_schema_and_times_its_stages(ray_session, small_trans
     logger = logging.getLogger("ray.data")
     logger.addHandler(handler)
     try:
-        t0 = time.perf_counter()
-        s = run_extraction(small_transcripts, str(tmp_path / "out"), num_partitions=8, resume=False)
-        wall = time.perf_counter() - t0
+        result = run()
     finally:
         logger.removeHandler(handler)
+    return result, [r.getMessage() for r in records if "different schema" in r.getMessage()]
+
+
+def test_full_run_keeps_one_schema_and_times_its_stages(ray_session, small_transcripts, tmp_path):
+    """A full run logs no Ray Data schema-drift warning; the summary's stage
+    walls (read+tag+cut until every split task is done, then the rest of
+    the call) fit inside the call's wall."""
+    import time
+
+    from deepdoctection_ray.pipelines.extraction import run_extraction
+
+    out = str(tmp_path / "out")
+    t0 = time.perf_counter()
+    s, drift = _schema_warnings(
+        lambda: run_extraction(small_transcripts, out, num_partitions=8, resume=False)
+    )
+    wall = time.perf_counter() - t0
     assert s["partitions_written"] == 8
-    assert [r.getMessage() for r in records if "different schema" in r.getMessage()] == []
+    assert drift == []
     assert s["shuffle_sec"] >= 0 and s["drain_sec"] >= 0
     assert s["shuffle_sec"] + s["drain_sec"] <= wall + 1e-3  # both rounded to ms
+
+
+@pytest.mark.parametrize("case", ["one_partition", "more_partitions_than_convs", "tail_done"])
+def test_partition_runs_with_empty_partitions_log_no_schema_drift(
+    ray_session, small_transcripts, tmp_path, case
+):
+    """Runs where some partition holds no rows: P=1, P=64 over 40
+    conversations, and a resume whose last four of 8 partitions are done.
+    None logs Ray Data's schema-drift warning, and each writes its rows."""
+    from deepdoctection_ray.pipelines.extraction import run_extraction
+    from deepdoctection_ray.stages.extract import conv_partition_ids
+
+    out = str(tmp_path / "out")
+    num_partitions = {"one_partition": 1, "more_partitions_than_convs": 64, "tail_done": 8}[case]
+    if case == "tail_done":
+        run_extraction(small_transcripts, out, num_partitions=8, resume=False)
+        for part in range(4):
+            for name in ("part-{:05d}.parquet", "part-{:05d}.lineage.json", "_SUCCESS.{:05d}"):
+                os.remove(os.path.join(out, name.format(part)))
+    s, drift = _schema_warnings(
+        lambda: run_extraction(small_transcripts, out, num_partitions=num_partitions, resume=True)
+    )
+    assert drift == []
+    assert s["partitions_skipped"] == (4 if case == "tail_done" else 0)
+    conv_ids = pq.read_table(small_transcripts, columns=["conv_id"])["conv_id"]
+    assert completed_partitions(out) == set(conv_partition_ids(conv_ids, num_partitions).tolist())
+    assert _read_output(out).num_rows == len(conv_ids)
+
+
+def test_every_partition_writes_one_schema(ray_session, tmp_path):
+    """File A types ``tool`` as string; file B's ``tool`` is an all-null
+    ``null`` column and alone feeds partition 7 of 8. Every partition still
+    writes ``tool: string``: each file sends a typed slice to every
+    partition, and the partition's concat promotes B's null column."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from deepdoctection_ray.pipelines.extraction import run_extraction
+    from deepdoctection_ray.stages.extract import conv_partition_ids
+
+    table = make_transcripts(n_convs=40, seed=42, hot_factor=10)
+    in_b = pa.array(conv_partition_ids(table["conv_id"], 8) == 7)
+    a, b = table.filter(pc.invert(in_b)), table.filter(in_b)
+    b = b.set_column(b.schema.get_field_index("tool"), "tool", pa.nulls(b.num_rows))
+    assert a.num_rows and b.num_rows and b.schema.field("tool").type == pa.null()
+    src = tmp_path / "src"
+    src.mkdir()
+    pq.write_table(a, str(src / "a.parquet"))
+    pq.write_table(b, str(src / "b.parquet"))
+    out = str(tmp_path / "out")
+    s = run_extraction(str(src), out, num_partitions=8, resume=False)
+    assert s["partitions_written"] == 8 and s["rows_written"] == table.num_rows
+    parts = _partitions(out)
+    types = {f: t.schema.field("tool").type for f, t in parts.items() if f.endswith(".parquet")}
+    assert len(types) == 8 and set(types.values()) == {pa.string()}
+    assert parts["part-00007.parquet"].num_rows == b.num_rows
 
 
 def test_partition_writer_block_guard(tmp_path):

@@ -15,6 +15,12 @@ one batch, and a page that decodes takes its kind from its keys, not from
 the sniff. Errors never propagate: a poison row yields no blocks plus an
 ``error`` string (the ``MappingContextManager`` dead-letter pattern,
 ``mapper/maputils.py:41-130``).
+
+The batch stage works on columns: ``classify_column`` sniffs every row and
+``plain_tokens`` tokenizes the plain rows in Arrow compute, so only html and
+page rows reach ``extract_blocks``. ``classify_payload``, ``tokenize_plain``,
+``extract_blocks`` and ``extract_turn`` are the per-row oracles those column
+kernels must equal (``tests/test_extract_kernels.py``).
 """
 
 from __future__ import annotations
@@ -22,14 +28,27 @@ from __future__ import annotations
 import re
 import time
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
 from .assemble import Block, assemble_turn
+from .grams import segment_sum, split_tokens
 from .html_blocks import DEFAULT_MAX_LINK_DENSITY, _BlockCollector, parse_html_blocks
-from .normalize import tokenize_plain
+from .normalize import _CONTROL, tokenize_plain
 from .pdf_layout import pdfish_blocks
 from .reading_order import PARAGRAPH_BREAK
 
+PAYLOAD_KINDS = ("plain", "html", "pdfish", "layout")
+SNIFF_HEAD = 2048  # code points of a "{" payload searched for its page keys
 _TAG_RE = re.compile(r"<[a-zA-Z!/]")
 _PDFISH_RE = re.compile(r'^\s*\{')
+# _PDFISH_RE for RE2, whose \s is ASCII only: the class spells out every code
+# point Python's \s (str.isspace) matches
+_PDFISH_RE2 = (
+    r"^[\x{09}-\x{0d}\x{1c}-\x{20}\x{85}\x{a0}\x{1680}\x{2000}-\x{200a}"
+    r"\x{2028}\x{2029}\x{202f}\x{205f}\x{3000}]*\{"
+)
 
 
 def classify_payload(text: str) -> str:
@@ -39,7 +58,7 @@ def classify_payload(text: str) -> str:
     if not text:
         return "plain"
     if _PDFISH_RE.match(text):
-        head = text[:2048]
+        head = text[:SNIFF_HEAD]
         if '"blocks"' in head:
             return "layout"
         if '"words"' in head:
@@ -47,6 +66,43 @@ def classify_payload(text: str) -> str:
     if _TAG_RE.search(text):
         return "html"
     return "plain"
+
+
+def _matches(texts: pa.Array, pattern: str) -> np.ndarray:
+    return pc.match_substring_regex(texts, pattern).to_numpy(zero_copy_only=False)
+
+
+def classify_column(texts: pa.Array) -> pa.Array:
+    """``classify_payload`` of every row of a string array (a null text is
+    ``""``), in Arrow compute: the leading-brace and tag regexes run over
+    the whole column, and only the brace rows' first ``SNIFF_HEAD`` code
+    points are searched for the page keys. A page's own tags never make it
+    ``html``."""
+    texts = pc.fill_null(texts, "")
+    codes = np.zeros(len(texts), np.int8)
+    brace = np.flatnonzero(_matches(texts, _PDFISH_RE2))
+    if brace.size:
+        head = pc.utf8_slice_codeunits(texts.take(brace), 0, SNIFF_HEAD)
+        pdfish = np.where(_matches(head, '"words"'), 2, 0)
+        codes[brace] = np.where(_matches(head, '"blocks"'), 3, pdfish)
+    codes[(codes == 0) & _matches(texts, _TAG_RE.pattern)] = 1
+    return pa.array(PAYLOAD_KINDS).take(codes)  # codes index PAYLOAD_KINDS
+
+
+def plain_tokens(texts: pa.Array) -> tuple[pa.Array, np.ndarray]:
+    """``tokenize_plain`` of every row of a string array (a null text is
+    ``""``): all rows' tokens as one flat array, and each row's token count.
+
+    ``grams.split_tokens`` is ``str.split``; only when some row holds a
+    control character are the tokens stripped of it and the tokens left
+    empty dropped."""
+    tokens, lens, offs = split_tokens(texts)
+    if pc.any(pc.match_substring_regex(texts, _CONTROL.pattern)).as_py():
+        tokens = pc.replace_substring_regex(tokens, _CONTROL.pattern, "")
+        keep = pc.not_equal(tokens, "")
+        lens = segment_sum(keep.to_numpy(zero_copy_only=False), offs)
+        tokens = tokens.filter(keep)
+    return tokens, lens
 
 
 def _dead_letter(exc: Exception) -> str:

@@ -26,6 +26,8 @@ def tokenize_plain(text: str) -> list[str]:
 
     Almost no text holds a control character, and without one every
     ``str.split`` token is already clean and non-empty: one search decides.
+    The per-row oracle of ``kernels.extract.plain_tokens``, which tokenizes
+    the batch stage's plain rows as one Arrow column the same way.
     """
     if not _CONTROL.search(text):
         return text.split()

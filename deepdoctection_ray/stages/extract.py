@@ -4,10 +4,17 @@ The Ray analog of the reference's component chain
 ``ImageLayoutService → TextExtractionService → MatchingService →
 TextOrderService → PageParsingService`` collapsed into one batch operator
 (every reference component is a per-record map — SURVEY.md §2.3 — so the
-fusion is semantics-preserving and saves N object-store round trips per turn):
-each row is classified once, the kernels return every turn's ordered blocks
-(pdfish geometry runs batch-wide), and one numpy/Arrow pass assembles the
-whole batch's text, spans and blocks.
+fusion is semantics-preserving and saves N object-store round trips per turn).
+
+Plain turns never leave Arrow: ``kernels.extract.classify_column`` sniffs
+every row and ``plain_tokens`` tokenizes the plain ones as columns. Only the
+html and page rows become Python strings for ``extract_blocks``, whose
+kernels return each turn's ordered blocks (page layout runs batch-wide).
+Both halves meet in one flat form — blocks per turn, words per block, one
+words array, one category per block — that index arithmetic puts back in
+row order, and one numpy/Arrow pass assembles the whole batch's text, spans
+and blocks from it. The per-row oracles are ``classify_payload``,
+``tokenize_plain``, ``extract_blocks`` and ``extract_turn``.
 
 The stage holds only its settings: the HTML parser is built once per batch
 (microseconds) and the regexes are compiled at import, so nothing needs an
@@ -16,14 +23,16 @@ actor to stay warm.
 
 from __future__ import annotations
 
+import time
 import zlib
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..kernels.assemble import Block
-from ..kernels.extract import classify_payload, extract_blocks
+from ..kernels.extract import classify_column, extract_blocks, plain_tokens
 from ..kernels.extract import extract_turn  # noqa: F401  perfbench/layers.py wraps this name
 from ..kernels.grams import ranges, segment_sum
 from ..kernels.html_blocks import DEFAULT_MAX_LINK_DENSITY
@@ -93,7 +102,62 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts)])
 
 
-def assemble_batch(turns: list[list[Block]]) -> tuple[pa.Array, pa.Array, pa.Array]:
+class FlatBlocks(NamedTuple):
+    """Ordered blocks of ordered words for a run of turns, as columns."""
+
+    n_blocks: np.ndarray  # blocks per turn
+    n_words: np.ndarray  # words per block
+    words: pa.Array  # every block's words, block after block
+    category: pa.Array  # one per block
+
+
+def blocks_flat(turns: list[list[Block]]) -> FlatBlocks:
+    """The flat form of each turn's ``Block`` list."""
+    flat = [b for blocks in turns for b in blocks]
+    return FlatBlocks(
+        np.fromiter(map(len, turns), dtype=np.int64, count=len(turns)),
+        np.fromiter((len(b.words) for b in flat), dtype=np.int64, count=len(flat)),
+        pa.array([w for b in flat for w in b.words], pa.string()),
+        pa.array([b.category for b in flat], pa.string()),
+    )
+
+
+def _inverse(perm: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+    return inv
+
+
+def interleave(n_rows: int, parts: list[tuple[np.ndarray, FlatBlocks]]) -> FlatBlocks:
+    """One flat form in row order from parts that each hold the flat form of
+    their ``rows`` (ascending; every row in exactly one part).
+
+    Each source block's place follows from its row's first block
+    (``repeat`` + ``ranges``), each source word's from its block's first
+    word; the inverse of the word places is the one ``take`` of the words."""
+    parts = [(rows, flat) for rows, flat in parts if rows.size]
+    if len(parts) < 2:
+        return parts[0][1] if parts else blocks_flat([])
+    n_blocks = np.zeros(n_rows, np.int64)
+    for rows, flat in parts:
+        n_blocks[rows] = flat.n_blocks
+    first_block = _offsets(n_blocks)[:-1]
+    block_at = np.concatenate(
+        [np.repeat(first_block[rows], f.n_blocks) + ranges(f.n_blocks) for rows, f in parts]
+    )
+    src_words = np.concatenate([f.n_words for _, f in parts])
+    n_words = np.empty_like(src_words)
+    n_words[block_at] = src_words
+    word_at = np.repeat(_offsets(n_words)[block_at], src_words) + ranges(src_words)
+    return FlatBlocks(
+        n_blocks,
+        n_words,
+        pa.concat_arrays([f.words for _, f in parts]).take(_inverse(word_at)),
+        pa.concat_arrays([f.category for _, f in parts]).take(_inverse(block_at)),
+    )
+
+
+def assemble_batch(flat: FlatBlocks) -> tuple[pa.Array, pa.Array, pa.Array]:
     """``assemble_turn`` for every turn at once → the ``extracted_text``,
     ``spans`` and ``blocks`` columns.
 
@@ -103,11 +167,7 @@ def assemble_batch(turns: list[list[Block]]) -> tuple[pa.Array, pa.Array, pa.Arr
     separator; a block starts after its turn's earlier blocks, each counted
     as its text length plus one ``"\\n"`` — a block without words too.
     """
-    flat = [b for blocks in turns for b in blocks]
-    n_blocks = np.fromiter(map(len, turns), dtype=np.int64, count=len(turns))
-    n_words = np.fromiter((len(b.words) for b in flat), dtype=np.int64, count=len(flat))
-    words = pa.array([w for b in flat for w in b.words], pa.string())
-    category = pa.array([b.category for b in flat], pa.string())
+    n_blocks, n_words, words, category = flat
     block_offs, word_offs = _offsets(n_blocks), _offsets(n_words)
 
     step = pc.utf8_length(words).to_numpy().astype(np.int64) + 1
@@ -123,7 +183,7 @@ def assemble_batch(turns: list[list[Block]]) -> tuple[pa.Array, pa.Array, pa.Arr
             pa.array(start, pa.int32()),
             pa.array(start + step - 1, pa.int32()),
             pa.array(np.repeat(block_idx, n_words), pa.int32()),
-            category.take(pa.array(np.repeat(np.arange(len(flat)), n_words))),
+            category.take(pa.array(np.repeat(np.arange(len(n_words)), n_words))),
             pa.array(ranges(n_words) + 1, pa.int32()),
         ],
         fields=list(SPAN_TYPE.value_type),
@@ -167,11 +227,34 @@ class TurnExtractor:
         self.sec_by_kind: dict[str, float] = {}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = [t if t is not None else "" for t in batch.column(self._text_column).to_pylist()]
-        blocks, kinds, errors, self.sec_by_kind = extract_blocks(
-            texts, [classify_payload(t) for t in texts], self._mld, self._pb, self._deskew
+        column = batch.column(self._text_column)
+        texts = column.chunk(0) if column.num_chunks == 1 else column.combine_chunks()
+        texts = texts.cast(pa.string())  # zero-copy unless large_string
+        kinds = classify_column(texts)
+        plain = pc.equal(kinds, "plain").to_numpy(zero_copy_only=False)
+        plain_rows, other_rows = np.flatnonzero(plain), np.flatnonzero(~plain)
+        blocks, other_kinds, other_errors, self.sec_by_kind = extract_blocks(
+            texts.take(other_rows).to_pylist(),
+            kinds.take(other_rows).to_pylist(),
+            self._mld,
+            self._pb,
+            self._deskew,
         )
-        extracted, spans, block_lists = assemble_batch(blocks)
+        t_plain = time.perf_counter()
+        words, n_words = plain_tokens(texts.take(plain_rows) if other_rows.size else texts)
+        has_text = n_words > 0  # a plain turn is no block or one "text" block
+        plain_flat = FlatBlocks(
+            has_text.astype(np.int64), n_words[has_text], words, pa.repeat("text", has_text.sum())
+        )
+        self.sec_by_kind["plain"] = time.perf_counter() - t_plain
+        extracted, spans, block_lists = assemble_batch(
+            interleave(len(texts), [(other_rows, blocks_flat(blocks)), (plain_rows, plain_flat)])
+        )
+        other = pa.array(~plain)
+        kinds = pc.replace_with_mask(kinds, other, pa.array(other_kinds, pa.string()))
+        errors = pc.replace_with_mask(
+            pa.nulls(len(texts), pa.string()), other, pa.array(other_errors, pa.string())
+        )
 
         out = batch
         if not self._keep_payload:
@@ -179,6 +262,6 @@ class TurnExtractor:
         out = out.append_column("extracted_text", extracted)
         out = out.append_column("spans", spans)
         out = out.append_column("blocks", block_lists)
-        out = out.append_column("payload_kind", pa.array(kinds, pa.string()))
-        out = out.append_column("error", pa.array(errors, pa.string()))
+        out = out.append_column("payload_kind", kinds)
+        out = out.append_column("error", errors)
         return out

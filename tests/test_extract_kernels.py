@@ -44,6 +44,64 @@ def test_classify_payload():
     assert out["blocks"] == extract_turn(skewed, deskew=True)["blocks"] != extract_turn(skewed)["blocks"]
 
 
+def test_classify_column_matches_classify_payload():
+    """The Arrow classifier equals ``classify_payload`` on every row: each
+    code point before a ``{`` (only Python's whitespace keeps a page a
+    page), long leading whitespace runs, page keys straddling the
+    ``SNIFF_HEAD`` code-point head behind multi-byte characters, ``<``
+    before each edge of ``[a-zA-Z!/]``, null and empty texts (hypothesis)."""
+    import operator
+
+    import pyarrow as pa
+    from hypothesis import given, settings, strategies as st
+
+    from deepdoctection_ray.kernels.extract import SNIFF_HEAD, classify_column
+
+    def assert_parity(texts):
+        got = classify_column(pa.array(texts, pa.string())).to_pylist()
+        assert got == [classify_payload(t or "") for t in texts]
+
+    chars = [chr(c) for c in range(0x110000) if not 0xD800 <= c < 0xE000]
+    assert_parity([c + '{"words": []}' for c in chars])
+    assert_parity([  # a key that ends on the head's last code point, or one past it
+        lead + "{" + ch * (SNIFF_HEAD - len(lead) - 1 - len(k) + d) + k
+        for lead in ("", "\u3000\x85 ")
+        for ch in "aé日🙂"
+        for k in ('"words"', '"blocks"')
+        for d in range(-1, 3)
+    ])
+
+    spaces = [c for c in chars[:0x3001] if c.isspace()]
+    assert len(spaces) == 29 and {"\x1c", "\x1f", "\x85", "\xa0", "\u3000"} <= set(spaces)
+    lead = st.one_of(
+        st.text(alphabet=spaces + ["\u200b", "x"], max_size=5),
+        st.builds(operator.mul, st.sampled_from(spaces), st.integers(0, SNIFF_HEAD + 4)),
+    )
+    key = st.sampled_from(['"words"', '"blocks"', '"word"', "blocks"])
+    straddle = st.builds(
+        lambda ch, back, k: ch * (SNIFF_HEAD - back) + k,
+        st.sampled_from("aé日🙂"),
+        st.integers(-2, 9),
+        key,
+    )
+    tag = st.builds(operator.add, st.just("<"), st.sampled_from("@AZ[`az{!/ \"0.<"))
+    body = st.lists(
+        st.one_of(straddle, key, tag, st.text(alphabet="ab é<{}/!", max_size=8)), max_size=4
+    ).map("".join)
+    text = st.one_of(
+        st.none(),
+        st.just(""),
+        st.builds(lambda a, b, c: a + b + c, lead, st.sampled_from(["{", "", " {", "x{"]), body),
+    )
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(text, max_size=8))
+    def check(texts):
+        assert_parity(texts)
+
+    check()
+
+
 def test_html_strips_nav_header_footer():
     html = (
         "<html><head><title>T</title><style>p{}</style></head><body>"
@@ -398,11 +456,34 @@ def test_turn_extractor_edge_batches():
     for text, spans in zip(out["extracted_text"].to_pylist(), out["spans"].to_pylist()):
         assert [text[s["start"] : s["end"]] for s in spans] == text.replace("\n", " ").split(" ") if text else not spans
 
+    # plain rows with control characters inside tokens, tokens made only of
+    # them, whitespace only and null, first, last and between html and page
+    # rows; then all-plain, no-plain, multi-chunk and large_string batches
+    plain = ["a\x01b c\x7fd", "\x01 \x02\x03 x", " \t\n ", None, "x\x00 \x1f y\x1b"]
+    html, pdfish = texts[1], texts[2]
+    batches = [
+        [plain[0], html, plain[1], pdfish, plain[2], html, plain[3], pdfish, plain[4]],
+        [html, plain[1], plain[3], pdfish, dead, plain[2]],
+        plain,
+        ["plain words", None, "  more  words "] + plain[2:4],
+        [html, pdfish, dead, "<b>x\x01y</b>", pdfish],
+    ]
+    for batch in batches:
+        _assert_stage_matches_oracle(pa.table({"text": pa.array(batch, pa.string())}))
+    chunked = pa.chunked_array([batches[0][:4], batches[0][4:], []], pa.string())
+    _assert_stage_matches_oracle(pa.table({"text": chunked}))
+    for batch in (batches[0], plain):
+        _assert_stage_matches_oracle(pa.table({"text": pa.array(batch, pa.large_string())}))
+
 
 def test_assemble_batch_matches_assemble_turn():
     """Blocks without words (no kernel emits one, the assembly still counts
-    their "\\n"), turns without blocks, and multi-code-point words."""
-    from deepdoctection_ray.stages.extract import assemble_batch
+    their "\\n"), turns without blocks, and multi-code-point words, through
+    the ``Block`` → flat helper; split into two parts of alternating rows,
+    ``interleave`` puts back the same flat form."""
+    import numpy as np
+
+    from deepdoctection_ray.stages.extract import assemble_batch, blocks_flat, interleave
 
     turns = [
         [],
@@ -412,7 +493,13 @@ def test_assemble_batch_matches_assemble_turn():
         [Block("text", []), Block("cell", ["​"])],
         [Block("line", ["x"])],
     ]
-    text, spans, blocks = assemble_batch(turns)
+    flat = blocks_flat(turns)
+    rows = np.arange(len(turns))
+    parts = [(rows[k::2], blocks_flat(turns[k::2])) for k in (1, 0)]
+    merged = interleave(len(turns), parts)
+    for got, want in zip(merged, flat):
+        assert got.tolist() == want.tolist() if isinstance(want, np.ndarray) else got.equals(want)
+    text, spans, blocks = assemble_batch(flat)
     names = ["start", "end", "block_idx", "category", "reading_order"]
     for blocks_in, t, sp, bl in zip(turns, text.to_pylist(), spans.to_pylist(), blocks.to_pylist()):
         want_text, want_spans = assemble_turn(blocks_in)
@@ -441,6 +528,33 @@ def test_tokenize_fast_path_matches_definition():
     def check(text):
         assert tokenize_plain(text) == [t for t in (_CONTROL.sub("", t) for t in text.split()) if t]
         assert clean_token(text) == _CONTROL.sub("", text)
+
+    check()
+
+
+def test_plain_tokens_match_tokenize_plain():
+    """The column tokenizer equals ``tokenize_plain`` on every row, over the
+    alphabet above plus null texts, in batches with and without a control
+    character (hypothesis)."""
+    import pyarrow as pa
+    from hypothesis import given, settings, strategies as st
+
+    from deepdoctection_ray.kernels.extract import plain_tokens
+    from deepdoctection_ray.kernels.normalize import _CONTROL, tokenize_plain
+
+    controls = [chr(c) for c in range(0x80) if _CONTROL.match(chr(c))]
+    alphabet = list("ab é日") + controls + ["\x1c", "\x1f", "\x85", "\xa0", "　", "​", " ", "\t", "\n"]
+    text = st.one_of(st.none(), st.text(alphabet=alphabet, max_size=30), st.text(alphabet="ab \t", max_size=10))
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.lists(text, max_size=8))
+    def check(texts):
+        tokens, lens = plain_tokens(pa.array(texts, pa.string()))
+        flat, at = tokens.to_pylist(), 0
+        assert lens.sum() == len(flat)
+        for t, n in zip(texts, lens.tolist()):
+            assert flat[at : at + n] == tokenize_plain(t or "")
+            at += n
 
     check()
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 
-from deepdoctection_ray.kernels.extract import classify_payload, extract_turn
+from deepdoctection_ray.kernels.extract import SNIFF_HEAD, classify_payload, extract_turn
 from deepdoctection_ray.kernels.pdf_layout import extract_layout
 
 PAGE = {"width": 600, "height": 400}
@@ -32,16 +32,16 @@ def test_classify_layout_payload():
 
 
 def test_late_blocks_key_still_detected():
-    """The sniff only sees the first 2,048 chars: a page with 60 words ahead
-    of its "blocks" key sniffs as pdfish, yet its kind and its detected
-    title come from the decoded keys."""
+    """The sniff only sees the first ``SNIFF_HEAD`` chars: a page with 60
+    words ahead of its "blocks" key sniffs as pdfish, yet its kind and its
+    detected title come from the decoded keys."""
     words = [
         {"text": f"w{i}", "x0": 5.0 + 9 * i, "top": 20.0, "x1": 12.0 + 9 * i, "bottom": 30.0}
         for i in range(60)
     ]
     title = {"category": "title", "score": 0.9, "x0": 0, "top": 0, "x1": 599, "bottom": 100}
     payload = json.dumps({"page": {"width": 600, "height": 800}, "words": words, "blocks": [title]})
-    assert payload.index('"blocks"') > 2048 and classify_payload(payload) == "pdfish"
+    assert payload.index('"blocks"') > SNIFF_HEAD and classify_payload(payload) == "pdfish"
     out = extract_turn(payload)
     assert out["payload_kind"] == "layout"
     assert out["blocks"]["category"] == ["title"]

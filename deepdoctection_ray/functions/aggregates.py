@@ -221,11 +221,8 @@ def top_n_per_group(
         return df.groupby(group_cols, sort=False, dropna=False).head(n)
 
     partial = ds.map_batches(local_topn, batch_format="pandas")
-    return with_anchor(
-        bucketed_map_groups(
-            partial, group_cols, local_topn, num_buckets, batch_format="pandas"
-        ),
-        anchor,
+    return bucketed_map_groups(
+        partial, group_cols, local_topn, num_buckets, batch_format="pandas", anchor=anchor
     )
 
 

@@ -9,10 +9,13 @@ ONE shuffle, but a bounded group count) and the caller's function receives a
 whole bucket at once — per-key work becomes a vectorized in-bucket groupby
 (``pyarrow.Table.group_by`` / pandas) instead of a Ray task per key.
 
-The same shape powers the LSH dedup family (``stages/dedup.py``,
-``_grouped_collisions``); this module is the generic engine surface used by
-``grouped_int_sums``, ``dedup_exact``, ``assemble_conversations``,
-``asof_join`` and sessionization.
+The exchange itself is ``functions.joins.exchange`` (plain Ray tasks: one
+split per block, one apply per bucket); this module owns its row hash
+(:func:`hash_rows`), its cut (:func:`split_by`, shared with
+``run_extraction``'s partition cut) and its one-side surface
+:func:`bucketed_map_groups`, used by the LSH dedup family,
+``grouped_int_sums``, ``dedup_exact``, ``assemble_conversations`` and
+sessionization.
 
 Partitioning assumption (100-TB note): per-key state stays bounded by the
 bucket, so ``num_buckets`` must scale with the corpus — size it so
@@ -26,13 +29,10 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
-
-BUCKET_COL = "__bucket"
 
 # auto-sizing rule: one bucket per ~64 MiB of input so a whole bucket fits an
 # aggregator's heap with headroom, floored at 16 (parallelism on small data)
@@ -151,14 +151,6 @@ def hash_rows(batch: pa.Table, key_cols: Sequence[str]) -> np.ndarray:
     return _mix64(h)
 
 
-def tag_buckets(batch: pa.Table, key_cols: Sequence[str], num_buckets: int) -> pa.Table:
-    """Append a stable int64 bucket id for the key columns (vectorized
-    Arrow/numpy hash; deterministic across processes — pinned by
-    ``tests/test_stages_misc.py``)."""
-    h = hash_rows(batch, list(key_cols)) % np.uint64(num_buckets)
-    return batch.append_column(BUCKET_COL, pa.array(h.astype(np.int64), pa.int64()))
-
-
 def split_by(table: pa.Table, ids: np.ndarray, n: int) -> list[pa.Table]:
     """``table`` cut into ``n`` slices by the row ids in ``[0, n)``: slice i
     holds the rows with id i in table order, typed like ``table`` even when
@@ -181,33 +173,15 @@ def bucketed_map_groups(
 ) -> ray.data.Dataset:
     """Run ``emit_bucket`` once per hash bucket instead of once per key.
 
-    ``emit_bucket`` receives one whole bucket (``pa.Table`` or
-    ``pd.DataFrame`` per ``batch_format``) WITHOUT the bucket column; all rows
-    of any given key are guaranteed to be in the same bucket. Its result
-    (Arrow table or DataFrame) is normalized to Arrow so empty outputs stay
-    schema-stable where possible.
+    The one-side ``functions.joins.exchange``: ``emit_bucket`` receives one
+    whole non-empty bucket (``pa.Table`` or ``pd.DataFrame`` per
+    ``batch_format``); all rows of any given key are in the same bucket. Its
+    result (Arrow table or DataFrame) is returned as Arrow; a fully-empty
+    result carries ``anchor``'s schema when given.
     """
-    key_cols = list(key_cols)
-    # batch_size=None: tag whole blocks — re-chunking into default 1024-row
-    # batches immediately before the groupby exchange fragments the shuffle
-    # input (the documented 8× extraction regression; CLAUDE.md invariant)
-    tagged = ds.map_batches(
-        lambda b: tag_buckets(b, key_cols, num_buckets),
-        batch_format="pyarrow",
-        batch_size=None,
-    )
+    from .joins import exchange
 
-    def run(g: "pa.Table | pd.DataFrame"):
-        if batch_format == "pyarrow":
-            out = emit_bucket(g.drop_columns([BUCKET_COL]))
-        else:
-            out = emit_bucket(g.drop(columns=[BUCKET_COL]))
-        if isinstance(out, pd.DataFrame):
-            out = pa.Table.from_pandas(out, preserve_index=False)
-        return out
-
-    out = tagged.groupby(BUCKET_COL).map_groups(run, batch_format=batch_format)
-    return with_anchor(out, anchor)
+    return exchange([ds], key_cols, emit_bucket, num_buckets, batch_format, anchor)
 
 
 def with_anchor(

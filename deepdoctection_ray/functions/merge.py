@@ -7,10 +7,10 @@ pass, OCR from another). Here two extraction/enrichment Datasets keyed by
 left lacks; on a column clash the left wins (first-pass precedence, matching
 the reference's "existing annotation ids are not overwritten").
 
-Scale shape: both sides are co-partitioned by ``hash(conv_id) % P`` and each
-bucket merges with ONE vectorized ``pandas.merge`` — not a per-key group
-(millions of 2-row pandas groups would dominate wall time on a 1M-turn
-corpus).
+Scale shape: a two-side bucket exchange (``functions.joins.exchange``) on
+``conv_id``; each bucket merges with ONE vectorized ``pandas.merge`` — not a
+per-key group (millions of 2-row pandas groups would dominate wall time on a
+1M-turn corpus).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pandas as pd
 
 import ray.data
 
-from .bucketed import bucketed_map_groups
+from .joins import exchange
 
 
 def merge_by_key(
@@ -32,25 +32,12 @@ def merge_by_key(
     left_cols = left.schema().names
     right_only = [c for c in right.schema().names if c not in left_cols]
 
-    def tag(side: str, cols: list[str]):
-        def f(df: pd.DataFrame) -> pd.DataFrame:
-            df = df[cols].copy()
-            df["__side"] = side
-            return df
-
-        return f
-
-    l = left.map_batches(tag("l", left_cols), batch_format="pandas")
-    r = right.select_columns(keys + right_only).map_batches(
-        tag("r", keys + right_only), batch_format="pandas"
-    )
-    both = l.union(r)
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        lg = g[g["__side"] == "l"][left_cols].drop_duplicates(keys, keep="first")
-        rg = g[g["__side"] == "r"][keys + right_only].drop_duplicates(keys, keep="first")
+    def combine(lg: pd.DataFrame, rg: pd.DataFrame) -> pd.DataFrame:
         if lg.empty:
             return pd.DataFrame(columns=left_cols + right_only)
-        return lg.merge(rg, on=keys, how="left")
+        lg = lg.drop_duplicates(keys, keep="first")
+        return lg.merge(rg.drop_duplicates(keys, keep="first"), on=keys, how="left")
 
-    return bucketed_map_groups(both, keys[:1], combine, num_buckets, batch_format="pandas")
+    return exchange(
+        [left, right.select_columns(keys + right_only)], keys[:1], combine, num_buckets, "pandas"
+    )

@@ -2,10 +2,10 @@
 
 The ``Evaluator`` analog (``eval/eval.py:57-218``): instead of re-running a
 pipeline over a dataset builder and handing two DataFlows to a metric, both
-sides are Datasets keyed by (conv_id, turn_idx); the comparison co-partitions
-both sides by a hash bucket of the conversation key and runs ONE vectorized
-``pandas.merge`` per bucket — never a per-turn group (millions of 2-row pandas
-groups would dominate wall time at corpus scale). The per-bucket partial
+sides are Datasets keyed by (conv_id, turn_idx); the comparison is a two-side
+bucket exchange (``functions.joins.exchange``) on the conversation key that
+runs ONE vectorized ``pandas.merge`` per bucket — never a per-turn group
+(millions of 2-row pandas groups would dominate wall time at corpus scale). The per-bucket partial
 counts (status × kind) reduce through a tiny final aggregate
 (``eval/accmetric.py:81-109`` accuracy shape).
 """
@@ -18,7 +18,7 @@ import pandas as pd
 import ray.data
 from ray.data.aggregate import Sum
 
-from ..functions.bucketed import bucketed_map_groups
+from ..functions.joins import exchange
 
 
 def evaluate_extraction(
@@ -35,26 +35,13 @@ def evaluate_extraction(
     """
     keys = list(key_columns)
     has_kind = "payload_kind" in golden.schema().names
+    golden = golden.select_columns(keys + [text_column] + (["payload_kind"] if has_kind else []))
 
-    def tag(ds: ray.data.Dataset, side: str) -> ray.data.Dataset:
-        cols = keys + [text_column] + (["payload_kind"] if has_kind and "payload_kind" in ds.schema().names else [])
-
-        def f(df: pd.DataFrame) -> pd.DataFrame:
-            df = df[[c for c in cols if c in df.columns]].copy()
-            if "payload_kind" not in df.columns:
-                df["payload_kind"] = ""
-            df["__side"] = side
-            return df
-
-        return ds.map_batches(f, batch_format="pandas")
-
-    both = tag(golden, "g").union(tag(produced, "p"))
-
-    def judge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        gd = g[g["__side"] == "g"].drop_duplicates(keys, keep="first")
-        pdf = g[g["__side"] == "p"].drop_duplicates(keys, keep="first")
-        m = gd[keys + [text_column, "payload_kind"]].merge(
-            pdf[keys + [text_column]],
+    def judge_bucket(gd: pd.DataFrame, pdf: pd.DataFrame) -> pd.DataFrame:
+        if not has_kind:
+            gd = gd.assign(payload_kind="")
+        m = gd.drop_duplicates(keys, keep="first").merge(
+            pdf.drop_duplicates(keys, keep="first"),
             on=keys,
             how="outer",
             suffixes=("_g", "_p"),
@@ -68,8 +55,12 @@ def evaluate_extraction(
         m = pd.DataFrame({"status": status, "kind": m["payload_kind"].fillna("")})
         return m.groupby(["status", "kind"], as_index=False).size().rename(columns={"size": "n"})
 
-    partials = bucketed_map_groups(
-        both, keys[:1], judge_bucket, num_buckets, batch_format="pandas"
+    partials = exchange(
+        [golden, produced.select_columns(keys + [text_column])],
+        keys[:1],
+        judge_bucket,
+        num_buckets,
+        "pandas",
     )
     # final reduce: at most num_buckets × |status| × |kind| partial rows
     totals = partials.groupby(["status", "kind"]).aggregate(Sum("n", alias_name="n")).take_all()

@@ -6,13 +6,16 @@ The reference only deduplicates exactly, by content-hash id at insert time
 the approximate family here is the standard public toolkit a training-data
 pipeline needs at 100 TB.
 
-Scale notes (every op keeps ONE wide shuffle):
+Scale notes (every op keeps ONE wide shuffle, and every shuffle is the one
+bucket exchange: ``functions.bucketed.bucketed_map_groups`` for grouping,
+``functions.joins.hash_join`` for joins):
 
-- exact:    hash column per batch → groupby(hash) → first-wins. Pre-hash makes
-            the shuffle key small even for multi-MB texts.
+- exact:    hash column per batch → bucketed first-wins per hash. Pre-hash
+            makes the shuffle key small even for multi-MB texts.
 - minhash:  per-batch signature (one numpy broadcast) → explode to
-            (band, band_hash, doc) rows → groupby band bucket → candidate
-            pairs → bucketed verify: candidate ids semi-join back against the
+            (band, band_key, doc) rows → bucketed on (band, band_key) →
+            capped candidate pairs (:func:`_capped_collisions`) → bucketed
+            verify: candidate ids semi-join back against the
             corpus, only colliding docs re-shingle, two bucketed hash joins
             attach shingle lists to the pairs — nothing corpus-sized on the
             driver at any scale.
@@ -31,6 +34,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ..functions.bucketed import bucketed_map_groups
+from ..functions.joins import exchange, hash_join
 from ..kernels.ids import md5_hex, stable_int
 from ..kernels.vectors import embedding_matrix
 
@@ -57,8 +62,6 @@ def dedup_exact(
     bucket runs ONE vectorized ``pyarrow.Table.group_by`` (C hash
     aggregation) — no per-distinct-text Python call, no per-key Ray task.
     """
-    from ..functions.bucketed import bucketed_map_groups
-
     hashed = ds.map_batches(
         lambda b: add_content_hash(b, text_column).select(["dedup_key", id_column]),
         batch_format="pyarrow",
@@ -270,67 +273,6 @@ def reset_truncation_counts() -> None:
         pass
 
 
-def _grouped_collisions(
-    ds: ray.data.Dataset,
-    group_cols: list[str],
-    emit_bucket,
-    num_buckets: int = 64,
-) -> ray.data.Dataset:
-    """groupby(group_cols) WITHOUT the tiny-group explosion.
-
-    A naive ``groupby(band, band_key).map_groups`` creates one Python call per
-    LSH bucket — hundreds of thousands of ~1-row groups. Instead rows
-    co-partition by ``hash(group key) % num_buckets`` (one shuffle, bounded
-    group count) and ``emit_bucket`` receives a whole bucket as ONE pandas
-    frame, and :func:`_capped_collisions` turns it into capped collision
-    groups with vectorized pandas/numpy steps.
-
-    Kept separate from the generic ``functions.bucketed.bucketed_map_groups``
-    on purpose: LSH keys are (int32 band, int64 band_key) pairs, and the
-    multiply-xor mix below is cheaper than the generic ``tag_buckets``
-    (``hash_rows``) row hash on the per-band exploded volume (rows × bands):
-    8.5-9.8 ms against 12.6-13.9 ms for 384k band rows, single-threaded on a
-    shared Xeon VM. Any partitioning-semantics change must be applied to
-    BOTH. The inner function names are load-bearing:
-    Ray Data labels the operators ``MapBatches(tag)`` and
-    ``MapBatches(emit_arrow)``, and perfbench's traced run reads those labels
-    as its ``band_tag`` and ``emit_pairs`` layers.
-    """
-    import pandas as pd
-
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        arrays = [df[c].to_numpy() for c in group_cols]
-        if all(np.issubdtype(a.dtype, np.number) for a in arrays):
-            # numeric keys (LSH band ids/keys): one multiply-xor mix, no
-            # per-row string building
-            acc = arrays[0].astype(np.uint64)
-            prime = np.uint64(0x9E3779B97F4A7C15)
-            with np.errstate(over="ignore"):
-                for a in arrays[1:]:
-                    acc = acc * prime ^ a.astype(np.uint64)
-            bucket = acc % np.uint64(num_buckets)
-        else:
-            key = df[group_cols[0]].astype(str)
-            for c in group_cols[1:]:
-                key = key + "\x1f" + df[c].astype(str)
-            bucket = pd.util.hash_array(key.to_numpy(dtype=object)) % np.uint64(num_buckets)
-        df["__bucket"] = bucket.astype(np.int64)
-        return df
-
-    def emit_arrow(g):
-        # hand back ARROW with explicit schema: a 0-row pandas frame would
-        # become a schema-less block that poisons downstream Acero joins
-        out = emit_bucket(g)
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    return (
-        ds.map_batches(tag, batch_format="pandas", batch_size=None)
-        .groupby("__bucket")
-        .map_groups(emit_arrow, batch_format="pandas")
-    )
-
-
 def _capped_collisions(g, keys: list[str], id_column: str, max_bucket: int, op: str):
     """The ONE owner of the LSH recall cap, for one exchange bucket ``g``.
 
@@ -410,8 +352,6 @@ def _dedup_pair_rows(pairs: ray.data.Dataset, num_buckets: int = 32) -> ray.data
     """Global (id_a, id_b) dedup on the generic bucketed pattern — same pair
     always lands in one bucket (keyed by id_a), ONE drop_duplicates per
     bucket."""
-    from ..functions.bucketed import bucketed_map_groups
-
     def dedup(g):
         return g.drop_duplicates(["id_a", "id_b"], keep="first")
 
@@ -462,7 +402,7 @@ def dedup_minhash(
         return _pair_frame(ids[i], ids[j])
 
     pairs = _dedup_pair_rows(  # cross-band dedup (bucketed, not per-pair groups)
-        _grouped_collisions(buckets, ["band", "band_key"], emit_bucket)
+        bucketed_map_groups(buckets, ["band", "band_key"], emit_bucket, batch_format="pandas")
     )
     if not verify:
         return pairs
@@ -479,8 +419,6 @@ def _verify_pairs_exact(
 ) -> ray.data.Dataset:
     """Exact-Jaccard verification of candidate ``(id_a, id_b)`` pairs —
     fully bucketed, shared by the minhash and n-gram-Jaccard dedups."""
-    from ..functions.joins import hash_join
-
     # pairs fans out to two consumers below (candidate explode + join probe);
     # materialize the SMALL candidate set once so the corpus-wide candidate
     # chain is not re-executed per consumer (blocks stay in the object store
@@ -611,7 +549,7 @@ def dedup_ngram_jaccard(
         return _pair_frame(ids[i], ids[j])
 
     pairs = _dedup_pair_rows(
-        _grouped_collisions(postings, ["shingle"], emit_bucket, num_buckets)
+        bucketed_map_groups(postings, ["shingle"], emit_bucket, num_buckets, "pandas")
     )
     return _verify_pairs_exact(ds, pairs, text_column, id_column, threshold, k)
 
@@ -713,7 +651,9 @@ def dedup_simhash(
         return _pair_frame(ids[i[keep]], ids[j[keep]], hamming=dist[keep].astype(np.int32))
 
     banded = ds.map_batches(to_bands, batch_format="pyarrow")
-    return _dedup_pair_rows(_grouped_collisions(banded, ["band", "band_key"], emit_bucket))
+    return _dedup_pair_rows(
+        bucketed_map_groups(banded, ["band", "band_key"], emit_bucket, batch_format="pandas")
+    )
 
 
 # ------------------------------------------------------- embedding near-dup
@@ -770,7 +710,9 @@ def dedup_embedding_cosine(
         return _cosine_pairs(capped, bounds, id_column, embedding_column, threshold)
 
     banded = ds.map_batches(to_buckets, batch_format="pyarrow")
-    return _dedup_pair_rows(_grouped_collisions(banded, ["band", "bucket"], emit_bucket))
+    return _dedup_pair_rows(
+        bucketed_map_groups(banded, ["band", "bucket"], emit_bucket, batch_format="pandas")
+    )
 
 
 class ContaminationFlagger:
@@ -875,7 +817,6 @@ def dedup_segments(
     survivor-sized shuffle — only pay it when downstream needs the text)."""
     import pandas as pd
 
-    from ..functions.bucketed import bucketed_map_groups
 
     def explode_keys(batch: pa.Table) -> pa.Table:
         ids, idxs, keys = [], [], []
@@ -909,7 +850,6 @@ def dedup_segments(
     if not keep_text:
         return survivors
 
-    from ..functions.joins import hash_join
 
     def explode_text(batch: pa.Table) -> pa.Table:
         ids, idxs, segs, rks = [], [], [], []
@@ -1090,8 +1030,6 @@ def dedup_incremental(
 
     Compose with :func:`dedup_exact` on the new shard itself for the full
     ingest step (intra-shard first-wins, then cross-corpus flagging)."""
-    from ..functions.joins import hash_join
-
     def key_rows(batch: pa.Table) -> pa.Table:
         texts = batch[text_column].to_pylist()
         return pa.table(
@@ -1110,7 +1048,6 @@ def dedup_incremental(
     new_keys = new.map_batches(key_rows, batch_format="pyarrow")
     # per-batch distinct, then one bucketed first-wins to global-distinct —
     # the existing side enters the join at one row per distinct text
-    from ..functions.bucketed import bucketed_map_groups
 
     def distinct_bucket(g: pa.Table) -> pa.Table:
         t = g.group_by("dedup_key").aggregate([("_hit", "min")])
@@ -1186,31 +1123,27 @@ def dedup_incremental_minhash(
     at 100 TB those standing band rows are computed at ingest time and kept
     as a table, so each arriving shard only signatures ITSELF and joins; the
     standing corpus is never re-banded per shard and never compared against
-    itself. Candidates are cross-side only (a band bucket with no new doc or
-    no existing doc emits nothing), verified by exact Jaccard on the hashed
-    shingle sets (same verifier as :func:`dedup_minhash`, so the banding is
-    lossless pruning at these parameters, not an approximation).
+    itself. Candidates are cross-side only: the band rows of the two sides
+    meet in a two-side bucket exchange on ``(band, band_key)``, and a band
+    key with no new doc or no existing doc emits nothing. They are verified
+    by exact Jaccard on the hashed shingle sets (same verifier as
+    :func:`dedup_minhash`, so the banding is lossless pruning at these
+    parameters, not an approximation).
 
     Requires globally-unique ids across the two sides (true for any ingest
     pipeline that assigns shard-scoped ids). Returns one row per NEW doc:
     ``(id, is_near_duplicate, n_matches, max_jaccard)`` with ``max_jaccard``
     the largest per-pair ROUNDED (6dp) Jaccard, 0.0 when no match.
     """
-    from ..functions.bucketed import bucketed_map_groups
-    from ..functions.joins import hash_join
-
     mh_kwargs = dict(
         text_column=text_column, id_column=id_column, num_hashes=num_hashes,
         bands=bands, k=k, seed=seed,
     )
 
-    def tag_side(batch: pa.Table, side: int) -> pa.Table:
-        return batch.append_column("_side", pa.array(np.full(len(batch), side, np.int8)))
-
     new_bands = new.map_batches(
         MinHasher, batch_format="pyarrow", concurrency=(1, 4),
         fn_constructor_kwargs=mh_kwargs,
-    ).map_batches(tag_side, batch_format="pyarrow", fn_kwargs={"side": 0})
+    )
     # the stored-signatures path: when the caller supplies the standing
     # corpus's band table (band_signatures written at ingest time), the
     # standing TEXT is only touched for candidate verification — the shard
@@ -1220,35 +1153,29 @@ def dedup_incremental_minhash(
             MinHasher, batch_format="pyarrow", concurrency=(1, 4),
             fn_constructor_kwargs=mh_kwargs,
         )
-    old_bands = existing_bands.map_batches(
-        tag_side, batch_format="pyarrow", fn_kwargs={"side": 1}
+    keys = ["band", "band_key"]
+
+    def emit_bucket(ng: "pd.DataFrame", eg: "pd.DataFrame") -> "pd.DataFrame":
+        # only band buckets holding BOTH sides pair, and they pair across
+        # sides only, so each side is capped on its own (distinct ids,
+        # ascending) instead of the shared whole-group cap
+        ns, es = (g[[*keys, id_column]].drop_duplicates() for g in (ng, eg))
+        n_new, n_old = (g.groupby(keys).size() for g in (ns, es))
+        over = (n_new.to_frame().join(n_old.rename("e"), how="inner") - max_bucket).clip(lower=0)
+        if over.to_numpy().any():
+            _report_truncation(
+                "incremental_minhash", int((over.sum(axis=1) > 0).sum()), int(over.to_numpy().sum())
+            )
+        ns, es = (
+            g.sort_values([*keys, id_column]).groupby(keys, sort=False).head(max_bucket)
+            for g in (ns, es)
+        )
+        m = ns.merge(es, on=keys, suffixes=("_a", "_b"))
+        return _pair_frame(m[f"{id_column}_a"].to_numpy(), m[f"{id_column}_b"].to_numpy())
+
+    pairs = _dedup_pair_rows(
+        exchange([new_bands, existing_bands], keys, emit_bucket, 64, "pandas")
     )
-    banded = new_bands.union(old_bands)
-
-    def emit_bucket(g: "pd.DataFrame") -> "pd.DataFrame":
-        # only band buckets containing BOTH sides can produce a pair
-        gb = g.groupby(["band", "band_key"], sort=False)
-        mixed = gb["_side"].transform("nunique") == 2
-        coll = g[mixed]
-        empty = np.empty(0, g[id_column].dtype)
-        a_out, b_out = [empty], [empty]
-        trunc_buckets = trunc_rows = 0
-        for _, sub in coll.groupby(["band", "band_key"], sort=False):
-            # per-SIDE cap (distinct ids, ascending): a bucket pairs across
-            # sides only, so the shared whole-group cap does not apply
-            ns = np.unique(sub.loc[sub["_side"] == 0, id_column].to_numpy())
-            es = np.unique(sub.loc[sub["_side"] == 1, id_column].to_numpy())
-            if len(ns) > max_bucket or len(es) > max_bucket:
-                trunc_buckets += 1
-                trunc_rows += max(len(ns) - max_bucket, 0) + max(len(es) - max_bucket, 0)
-                ns, es = ns[:max_bucket], es[:max_bucket]
-            a_out.append(np.repeat(ns, len(es)))
-            b_out.append(np.tile(es, len(ns)))
-        if trunc_buckets:
-            _report_truncation("incremental_minhash", trunc_buckets, trunc_rows)
-        return _pair_frame(np.concatenate(a_out), np.concatenate(b_out))
-
-    pairs = _dedup_pair_rows(_grouped_collisions(banded, ["band", "band_key"], emit_bucket))
 
     # verification shingles only the candidate docs of BOTH sides (semi-join
     # against the union stream); ids are globally unique so the union is a
@@ -1321,8 +1248,6 @@ def remove_duplicate_substrings(
     on token streams) with covered tokens removed. Documents shorter than
     ``window`` tokens pass through normalized, never cut.
     """
-    from ..functions.bucketed import bucketed_map_groups
-    from ..functions.joins import hash_join
     from ..kernels.grams import covered_mask, segment_sum, split_tokens, token_windows
 
     def explode(batch: pa.Table) -> pa.Table:

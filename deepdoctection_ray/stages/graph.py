@@ -10,9 +10,9 @@ surface is native to the Ray rebuild.
 
 Algorithm: the alternating large-star/small-star contraction (Kiveris et al.,
 "Connected Components in MapReduce and Beyond", public literature), each step
-ONE bucketed groupby (the repo's ``bucketed_map_groups`` co-partitioning — no
-joins, no per-key Python groups; each bucket is reduced in numpy with one
-lexsort, no pandas). Large-star hangs every node's larger
+ONE pass of the repo's one bucket exchange (``bucketed_map_groups``: plain
+split and per-bucket Ray tasks — no joins, no per-key Python groups; each
+bucket is reduced in numpy with one lexsort, no pandas). Large-star hangs every node's larger
 neighbors off the minimum of its neighborhood; small-star re-points each node
 and its smaller neighbors at their group minimum. Both steps preserve
 components, and rounds are O(log n) whatever the component diameter — a

@@ -260,10 +260,8 @@ def hamming_band_pairs(
     at threshold ≤ 7, and the per-bucket vectorized popcount verify removes
     every false positive. Shared by the image and audio near-dup operators.
     Returns ``(id_a, id_b, hamming)``, id_a < id_b."""
-    from .dedup import (
-        _capped_collisions, _dedup_pair_rows, _grouped_collisions, _pair_frame,
-        _pairs_within, _popcount64,
-    )
+    from ..functions.bucketed import bucketed_map_groups
+    from .dedup import _capped_collisions, _dedup_pair_rows, _pair_frame, _pairs_within, _popcount64
 
     def band_rows(batch: pa.Table) -> pa.Table:
         h = batch[hash_column].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -294,7 +292,7 @@ def hamming_band_pairs(
         keep = ham <= threshold
         return _pair_frame(ids[i[keep]], ids[j[keep]], hamming=ham[keep])
 
-    pairs = _grouped_collisions(banded, ["band", "band_key"], emit_bucket)
+    pairs = bucketed_map_groups(banded, ["band", "band_key"], emit_bucket, batch_format="pandas")
     return _dedup_pair_rows(pairs)
 
 

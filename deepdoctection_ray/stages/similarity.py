@@ -427,7 +427,8 @@ def semantic_pairs(
     documented trade-off). Clusters larger than ``max_cluster`` truncate
     deterministically (smallest ids kept) and are counted via the shared
     truncation reporter. One shuffle, keyed by cluster id."""
-    from .dedup import _capped_collisions, _cosine_pairs, _dedup_pair_rows, _grouped_collisions
+    from ..functions.bucketed import bucketed_map_groups
+    from .dedup import _capped_collisions, _cosine_pairs, _dedup_pair_rows
 
     try:
         cent = train_ivf_centroids(
@@ -464,7 +465,7 @@ def semantic_pairs(
 
     assigned = ds.map_batches(assign, batch_format="pyarrow")
     return _dedup_pair_rows(
-        _grouped_collisions(assigned, ["band", "cluster"], emit_cluster, num_buckets)
+        bucketed_map_groups(assigned, ["band", "cluster"], emit_cluster, num_buckets, "pandas")
     )
 
 

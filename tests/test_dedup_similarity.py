@@ -666,6 +666,33 @@ def test_dedup_incremental_minhash_flags_near_dups(ray_session):
     assert (out2["max_jaccard"] == 0.0).all()
 
 
+def test_dedup_incremental_minhash_caps_each_side(ray_session):
+    """A band bucket pairs the new and the standing side only, and each side
+    is capped on its own at ``max_bucket`` distinct ids, smallest first: with
+    three identical docs per side and ``max_bucket=2``, new docs 10 and 11
+    match standing docs 0 and 1, doc 12 matches nothing, and every band
+    reports one truncated bucket with two dropped rows."""
+    import ray.data
+    from deepdoctection_ray.stages.dedup import (
+        dedup_incremental_minhash, reset_truncation_counts, truncation_counts,
+    )
+
+    text = "identical text shared by every planted document in this bucket"
+    side = lambda ids: ray.data.from_arrow(  # noqa: E731
+        pa.table({"doc_id": pa.array(ids, pa.int64()), "text": [text] * len(ids)})
+    )
+    reset_truncation_counts()
+    out = (
+        dedup_incremental_minhash(side([12, 10, 11]), side([2, 0, 1]), bands=16, max_bucket=2)
+        .to_pandas()
+        .sort_values("doc_id")
+    )
+    assert list(out["is_near_duplicate"]) == [True, True, False]
+    assert list(out["n_matches"]) == [2, 2, 0]
+    assert truncation_counts()["incremental_minhash"] == {"buckets": 16, "dropped_rows": 32}
+    reset_truncation_counts()
+
+
 def test_knn_pq_recall_with_rerank(ray_session):
     """PQ ADC candidates + exact re-rank: high recall vs brute force on a
     clustered corpus, deterministic across runs, and the codebook trainer's

@@ -1,6 +1,7 @@
 """The extraction entry points, the classifier stages that follow them in
-``q_doc_type`` and ``q_entities``, and ``hash_join`` at its default 8
-buckets finish on a 1-CPU Ray session.
+``q_doc_type`` and ``q_entities``, and the bucket exchange (``hash_join`` at
+its default 8 buckets, a 64-bucket ``bucketed_map_groups`` and an
+``asof_join``) finish on a 1-CPU Ray session.
 
 An actor pool downstream of CPU tasks can hold the only CPU while the read,
 tag, sort and extraction tasks it waits on never get scheduled. The run
@@ -29,7 +30,8 @@ import json, sys
 import pyarrow as pa
 import ray
 from deepdoctection_ray import fixtures, queries
-from deepdoctection_ray.functions.joins import hash_join
+from deepdoctection_ray.functions.bucketed import bucketed_map_groups
+from deepdoctection_ray.functions.joins import asof_join, hash_join
 from deepdoctection_ray.pipelines.extraction import extract_turns, read_transcripts, run_extraction
 
 ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
@@ -40,9 +42,13 @@ entities = queries.q_entities("").count()
 left = ray.data.from_arrow(pa.table({"k": [i % 300 for i in range(1000)], "x": list(range(1000))}))
 right = ray.data.from_arrow(pa.table({"k": list(range(0, 600, 2)), "y": list(range(300))}))
 joined = hash_join(left, right, "k").count()  # 8 buckets
+grouped = bucketed_map_groups(left, ["k"], lambda g: g.group_by("k").aggregate([("x", "sum")]), 64)
+marks = ray.data.from_arrow(pa.table({"k": [i % 50 for i in range(0, 1000, 4)],
+                                      "x": list(range(0, 1000, 4)), "m": list(range(250))}))
+asof = asof_join(left, marks, "k", "x", ["m"]).count()  # 32 buckets
 print(json.dumps({"rows_written": summary["rows_written"], "errors": summary["errors"],
                   "mapped": mapped, "doc_types": doc_types, "entities": entities,
-                  "joined": joined}))
+                  "joined": joined, "grouped": grouped.count(), "asof": asof}))
 """
 
 
@@ -72,4 +78,5 @@ def test_extraction_finishes_on_one_cpu(tmp_path):
     layout_docs = pq.read_table(fixtures.path("layout_docs"), columns=["doc_id"]).num_rows
     assert result == {
         "rows_written": rows, "errors": 0, "mapped": rows, "doc_types": layout_docs, "joined": 500,
+        "grouped": 300, "asof": 1000,
     }
